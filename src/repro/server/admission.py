@@ -10,10 +10,11 @@ when the queue is full a light tenant's arrival displaces the newest
 queued query of the *heaviest* tenant instead of being shed — one
 tenant flooding the server cannot starve the others out of the queue.
 
-**What runs next?**  Batch formation follows the PR 3 admission rule,
-driven by the ⊙ :class:`~repro.service.InterferenceModel`: grow the
-batch with the candidate that increases the predicted makespan least,
-and admit a candidate only while
+**What runs next?**  Batch formation is the service's one ⊙ admission
+rule (:func:`~repro.service.form_batch`), driven by the
+:class:`~repro.service.InterferenceModel`: grow the batch with the
+candidate that increases the predicted makespan least, and admit a
+candidate only while
 
     makespan(batch ∪ {c})  ≤  makespan(batch) + slack · solo(c)
 
@@ -33,12 +34,15 @@ from dataclasses import dataclass, field
 
 from ..query.physical import QueryPlan
 from ..service.interference import InterferenceModel
+from ..service.scheduler import (
+    ADMISSION_MODES,
+    Batch,
+    check_admission,
+    form_batch,
+)
 from .tenant import TenantQuota
 
 __all__ = ["ServerTask", "AdmissionController", "ADMISSION_MODES"]
-
-#: Recognized batch-formation modes.
-ADMISSION_MODES = ("interference-aware", "max-parallel", "fifo-serial")
 
 
 @dataclass
@@ -86,17 +90,9 @@ class AdmissionController:
                  mode: str = "interference-aware", max_queue: int = 64,
                  max_batch: int = 4, slack: float = 1.0,
                  lookahead: int = 8) -> None:
-        if mode not in ADMISSION_MODES:
-            raise ValueError(f"unknown admission mode {mode!r} "
-                             f"(expected one of {ADMISSION_MODES})")
+        check_admission(mode, max_batch, slack, lookahead)
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        if slack <= 0:
-            raise ValueError("slack must be positive")
-        if lookahead < 1:
-            raise ValueError("lookahead must be positive")
         self.interference = interference
         self.mode = mode
         self.max_queue = max_queue
@@ -152,50 +148,30 @@ class AdmissionController:
         return len(self.queue)
 
     # -- batch side ----------------------------------------------------
-    def _makespan(self, batch: list[ServerTask]) -> float:
-        return self.interference.co_run(
-            [t.plan for t in batch]).makespan_ns
-
-    def _seed(self, arrived: list[ServerTask]) -> ServerTask:
-        """The next batch's seed: the longest-waiting query of the
-        least recently seeded tenant that has anything waiting."""
+    def _seed(self, arrived: list[ServerTask]) -> int:
+        """The next batch's seed (an index into ``arrived``): the
+        longest-waiting query of the least recently seeded tenant that
+        has anything waiting."""
         for name in self._rr:
-            for task in arrived:
+            for i, task in enumerate(arrived):
                 if task.tenant == name:
                     self._rr.remove(name)
                     self._rr.append(name)
-                    return task
-        return arrived[0]
+                    return i
+        return 0
 
-    def next_batch(self, now_ns: float) -> list[ServerTask]:
+    def next_batch(self, now_ns: float) -> Batch:
         """Form (and dequeue) the next co-run batch among the queries
-        that have arrived by ``now_ns``; ``[]`` when none have."""
+        that have arrived by ``now_ns`` — empty when none have.  The
+        batch carries the ⊙ predictions the rule priced."""
         arrived = [t for t in self.queue if t.arrival_ns <= now_ns]
         if not arrived:
-            return []
-        if self.mode == "fifo-serial":
-            batch = [arrived[0]]
-        elif self.mode == "max-parallel":
-            batch = arrived[:self.max_batch]
-        else:
-            batch = [self._seed(arrived)]
-            candidates = [t for t in arrived if t is not batch[0]]
-            current = self._makespan(batch)
-            while len(batch) < self.max_batch and candidates:
-                best_index = None
-                best_makespan = None
-                for i, candidate in enumerate(
-                        candidates[:self.lookahead]):
-                    predicted = self._makespan(batch + [candidate])
-                    limit = current + self.slack * candidate.solo_total_ns
-                    if predicted > limit:
-                        continue  # rejected: queueing it is cheaper
-                    if best_makespan is None or predicted < best_makespan:
-                        best_index, best_makespan = i, predicted
-                if best_index is None:
-                    break
-                batch.append(candidates.pop(best_index))
-                current = best_makespan
+            return Batch([], self.interference)
+        seed = (self._seed(arrived) if self.mode == "interference-aware"
+                else 0)
+        batch = form_batch(arrived, self.interference, mode=self.mode,
+                           max_batch=self.max_batch, slack=self.slack,
+                           lookahead=self.lookahead, seed=seed)
         for task in batch:
             self.queue.remove(task)
         return batch

@@ -44,9 +44,8 @@ from ..query.optimizer import PlannerConfig, plan_signature
 from ..service.executor import (
     DEFAULT_QUANTUM,
     BatchReplay,
-    TraceRecorder,
-    _restored_columns,
     measure_solo,
+    record_trace,
     replay_interleaved,
 )
 from ..service.interference import InterferenceModel
@@ -622,24 +621,15 @@ class QueryServer:
                 traces, rows = [], []
                 for task in batch:
                     tenant = self.tenants[task.tenant]
-                    db = tenant.db
-                    recorder = TraceRecorder()
-                    real = db.mem
-                    with _restored_columns(db):
-                        db.mem = recorder
-                        try:
-                            with db.execution_scope(
-                                    tenant.session.config.execution):
-                                result = task.plan.execute(db)
-                        finally:
-                            db.mem = real
-                    rows.append(len(result.values))
+                    with tenant.db.execution_scope(
+                            tenant.session.config.execution):
+                        trace, nrows = record_trace(tenant.db, task.plan)
+                    rows.append(nrows)
                     offset = tenant.address_offset
                     traces.append(
                         [("range", e[1] + offset, e[2], e[3], e[4])
                          if e[0] == "range" else (e[0] + offset, e[1])
-                         for e in recorder.trace] if offset
-                        else recorder.trace)
+                         for e in trace] if offset else trace)
                 replay = replay_interleaved(self.hierarchy, traces,
                                             quantum=self.quantum)
         return replay, rows, measured, wall_start, time.perf_counter_ns()
@@ -832,21 +822,13 @@ class QueryServer:
                 if not batch:
                     # everything due was shed; jump to the next arrival
                     continue
-                prediction = self.interference.co_run(
-                    [t.plan for t in batch])
                 replay, rows, measured, wall0, wall1 = \
                     await loop.run_in_executor(
                         self._pool, self._execute_batch, batch, now)
-                finishes = []
                 index = self._batch_index
                 self._batch_index += 1
-                for i, task in enumerate(batch):
-                    # done once its accesses have drained *and* its own
-                    # CPU work fits after/between them
-                    finish = max(replay.finish_ns[i],
-                                 replay.memory_ns[i] + task.cpu_ns)
-                    finishes.append(finish)
-                makespan = max(max(finishes), replay.total_ns)
+                finishes, makespan = replay.timing(
+                    [task.cpu_ns for task in batch])
                 for task, finish, nrows in zip(batch, finishes, rows):
                     tenant = self.tenants[task.tenant]
                     tenant.completed += 1
@@ -867,6 +849,7 @@ class QueryServer:
                             and not task.handle.done():
                         task.handle.set_result(response)
                     self._resolve_bookkeeping()
+                prediction = batch.prediction
                 self._batches.append(BatchMetrics(
                     index=index, size=len(batch),
                     predicted_memory_ns=prediction.batch_memory_ns,

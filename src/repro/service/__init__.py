@@ -13,9 +13,9 @@ queries may share the machine.
   query streams over a shared :class:`~repro.session.Session` catalog,
 * :mod:`repro.service.interference` — the ⊙ co-run cost model
   (:class:`InterferenceModel`, :class:`CoRunPrediction`),
-* :mod:`repro.service.scheduler` — admission control and batch
-  selection (:class:`FifoSerialPolicy`, :class:`MaxParallelPolicy`,
-  :class:`InterferenceAwarePolicy`),
+* :mod:`repro.service.scheduler` — the one ⊙ admission rule
+  (:func:`form_batch` over :data:`ADMISSION_MODES`) every batch
+  former shares: the server, the executor, and the what-if sweep,
 * :mod:`repro.service.executor` — the simulated-time multi-client
   executor (record each plan's access trace, replay co-run batches
   interleaved through one shared memory system),
@@ -27,11 +27,11 @@ from .executor import ServiceExecutor, TraceRecorder, replay_interleaved
 from .interference import CoRunPrediction, InterferenceModel
 from .metrics import BatchMetrics, QueryMetrics, WorkloadReport, percentile
 from .scheduler import (
-    FifoSerialPolicy,
-    InterferenceAwarePolicy,
-    MaxParallelPolicy,
-    SchedulePolicy,
+    ADMISSION_MODES,
+    Batch,
     Task,
+    form_batch,
+    form_batches,
 )
 from .workload import (
     WorkloadGenerator,
@@ -47,11 +47,11 @@ __all__ = [
     "stamp_arrivals",
     "InterferenceModel",
     "CoRunPrediction",
-    "SchedulePolicy",
-    "FifoSerialPolicy",
-    "MaxParallelPolicy",
-    "InterferenceAwarePolicy",
+    "ADMISSION_MODES",
+    "Batch",
     "Task",
+    "form_batch",
+    "form_batches",
     "ServiceExecutor",
     "TraceRecorder",
     "replay_interleaved",

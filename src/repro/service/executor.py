@@ -39,7 +39,7 @@ from ..simulator.counters import CounterSnapshot
 from ..simulator.memory import MemorySystem
 from .interference import InterferenceModel
 from .metrics import BatchMetrics, QueryMetrics, WorkloadReport
-from .scheduler import SchedulePolicy, Task
+from .scheduler import Task, check_admission, form_batches
 from .workload import WorkloadQuery
 
 __all__ = ["TraceRecorder", "record_trace", "replay_interleaved",
@@ -107,19 +107,20 @@ def _restored_columns(db: Database):
             column.values = values
 
 
-def record_trace(db: Database, plan: QueryPlan) -> list[tuple]:
-    """Execute ``plan`` against ``db`` with a recording memory system
-    and return its access trace.  Base columns are restored afterwards,
-    so every batch member records against the same base state."""
+def record_trace(db: Database, plan: QueryPlan) -> tuple[list[tuple], int]:
+    """Execute ``plan`` against ``db`` with a recording memory system;
+    returns its access trace and the result's row count.  Base columns
+    are restored afterwards, so every batch member records against the
+    same base state."""
     recorder = TraceRecorder()
     real = db.mem
     with _restored_columns(db):
         db.mem = recorder
         try:
-            plan.execute(db)
+            result = plan.execute(db)
         finally:
             db.mem = real
-    return recorder.trace
+    return recorder.trace, len(result.values)
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,17 @@ class BatchReplay:
     #: the whole batch drained — the sample the metrics registry takes
     #: at batch boundaries.
     counters: CounterSnapshot | None = None
+
+    def timing(self, cpu_ns: Sequence[float]
+               ) -> tuple[list[float], float]:
+        """Each member's finish time (relative to the batch start)
+        given its pure-CPU time, and the batch makespan.  A member is
+        done once its accesses have drained *and* its own CPU work fits
+        after/between them; the batch is done when its last member is
+        and the shared hierarchy has drained."""
+        finishes = [max(finish, memory + cpu) for finish, memory, cpu
+                    in zip(self.finish_ns, self.memory_ns, cpu_ns)]
+        return finishes, max(max(finishes), self.total_ns)
 
 
 #: Default time-slice length (accesses per turn) of the interleaved
@@ -246,17 +258,26 @@ class ServiceExecutor:
         cache.  Each client gets its own :meth:`~Session.spawn`-ed
         session over the same engine and cache, so compile provenance
         (hit/miss) is tracked per client while plans are shared.
-    policy:
-        The scheduling policy (see :mod:`repro.service.scheduler`).
+    mode / max_batch / slack / lookahead:
+        Batch formation (:func:`~repro.service.scheduler.form_batch`;
+        ``mode`` is one of :data:`~repro.service.ADMISSION_MODES`),
+        priced on the session's *current* profile at every
+        :meth:`run`.
     quantum:
         Time-slice length of the interleaved replay (accesses per
         co-runner per turn; see :data:`DEFAULT_QUANTUM`).
     """
 
-    def __init__(self, session: Session, policy: SchedulePolicy,
+    def __init__(self, session: Session, *,
+                 mode: str = "interference-aware", max_batch: int = 4,
+                 slack: float = 1.0, lookahead: int = 8,
                  quantum: int = DEFAULT_QUANTUM) -> None:
+        check_admission(mode, max_batch, slack, lookahead)
         self.session = session
-        self.policy = policy
+        self.mode = mode
+        self.max_batch = max_batch
+        self.slack = slack
+        self.lookahead = lookahead
         self.quantum = quantum
         self.interference = InterferenceModel(session.hierarchy)
         self._clients: dict[int, Session] = {}
@@ -288,19 +309,14 @@ class ServiceExecutor:
         if self.interference.hierarchy is not self.session.hierarchy:
             # the shared engine's profile changed since construction
             self.interference = InterferenceModel(self.session.hierarchy)
-        tasks = self.admit(queries)
-        batches = self.policy.batches(tasks)
-        scheduled = sorted(t.query.qid for b in batches for t in b)
-        if scheduled != sorted(t.query.qid for t in tasks):
-            raise ValueError(
-                f"policy {self.policy.name!r} lost or duplicated queries")
-
+        batches = form_batches(self.admit(queries), self.interference,
+                               mode=self.mode, max_batch=self.max_batch,
+                               slack=self.slack, lookahead=self.lookahead)
         db = self.session.db
         clock = 0.0
         query_metrics: list[QueryMetrics] = []
         batch_metrics: list[BatchMetrics] = []
         for index, batch in enumerate(batches):
-            prediction = self.interference.co_run([t.plan for t in batch])
             if len(batch) == 1:
                 # A solo member needs no interleaving: run it through
                 # the typed measured path, which yields the identical
@@ -308,26 +324,20 @@ class ServiceExecutor:
                 # out-of-core suite proves replay == execution) *plus*
                 # per-operator predicted-vs-measured attribution.
                 measured = measure_solo(self.session, batch[0].plan)
-                memory_ns = (measured.measured_ns,)
-                finish_ns = (measured.measured_ns,)
-                total_ns = measured.measured_ns
+                elapsed = measured.measured_ns
+                replay = BatchReplay(total_ns=elapsed,
+                                     memory_ns=(elapsed,),
+                                     finish_ns=(elapsed,))
                 operators = (measured.operators,)
             else:
                 with db.execution_scope(self.session.config.execution):
-                    traces = [record_trace(db, t.plan) for t in batch]
+                    traces = [record_trace(db, t.plan)[0] for t in batch]
                 replay = replay_interleaved(self.session.hierarchy, traces,
                                             quantum=self.quantum)
-                memory_ns = replay.memory_ns
-                finish_ns = replay.finish_ns
-                total_ns = replay.total_ns
                 operators = (None,) * len(batch)
-            finishes = []
-            for t, mem_ns, mem_finish, ops in zip(batch, memory_ns,
-                                                  finish_ns, operators):
-                # A member is done once its accesses have drained *and*
-                # its own CPU work fits after/between them.
-                finish = max(mem_finish, mem_ns + t.cpu_ns)
-                finishes.append(finish)
+            finishes, makespan = replay.timing([t.cpu_ns for t in batch])
+            for t, mem_ns, finish, ops in zip(batch, replay.memory_ns,
+                                              finishes, operators):
                 query_metrics.append(QueryMetrics(
                     qid=t.query.qid, client=t.query.client,
                     kind=t.query.kind, signature=t.signature,
@@ -335,15 +345,14 @@ class ServiceExecutor:
                     start_ns=clock, finish_ns=clock + finish,
                     memory_ns=mem_ns, cpu_ns=t.cpu_ns,
                     operators=ops))
-            makespan = max(max(finishes), total_ns)
+            prediction = batch.prediction
             batch_metrics.append(BatchMetrics(
                 index=index, size=len(batch),
                 predicted_memory_ns=prediction.batch_memory_ns,
-                measured_memory_ns=total_ns,
+                measured_memory_ns=replay.total_ns,
                 predicted_makespan_ns=prediction.makespan_ns,
                 measured_makespan_ns=makespan))
             clock += makespan
         query_metrics.sort(key=lambda m: m.qid)
-        return WorkloadReport(self.policy.name, query_metrics,
-                              batch_metrics,
+        return WorkloadReport(self.mode, query_metrics, batch_metrics,
                               fingerprint=self.session.fingerprint)

@@ -1,18 +1,24 @@
-"""Admission control and co-run batch selection.
+"""Admission control: the one ⊙ batch-formation rule.
 
-A policy turns the admitted queue (compiled :class:`Task` objects, in
-arrival order) into a sequence of **batches**; batches execute one
-after another, the members of a batch concurrently.  Three policies
-span the design space:
+Batch formation turns an arrival-ordered queue of compiled
+:class:`Task` objects into **batches**; batches execute one after
+another, the members of a batch concurrently.  Three modes
+(:data:`ADMISSION_MODES`) span the design space:
 
-* :class:`FifoSerialPolicy` — the baseline: one query per batch, no
+* ``"fifo-serial"`` — the baseline: one query per batch, no
   concurrency, no interference (and no CPU/memory overlap either);
-* :class:`MaxParallelPolicy` — the opposite extreme: pack every batch
-  to the concurrency cap in arrival order, blind to contention;
-* :class:`InterferenceAwarePolicy` — greedy co-schedule selection under
-  the ⊙ model: grow each batch with the candidate that increases the
-  predicted makespan least, and admit a candidate only while co-running
-  is predicted no slower than queueing it behind the batch.
+* ``"max-parallel"`` — the opposite extreme: pack every batch to the
+  concurrency cap in arrival order, blind to contention;
+* ``"interference-aware"`` — greedy co-schedule selection under the ⊙
+  model: grow each batch with the candidate that increases the
+  predicted makespan least, and admit a candidate only while
+  co-running is predicted no slower than queueing it behind the batch.
+
+:func:`form_batch` is the rule, and every caller shares it: the query
+server's :class:`~repro.server.AdmissionController` (round-robin
+tenant seeds over the queries arrived by the decision time), and the
+offline :class:`~repro.service.ServiceExecutor` and what-if sweep
+(:func:`form_batches`: queue-head seeds over the whole stream).
 
 Batches, not a continuous stream, keep the simulated-time semantics
 exact: within a batch the executor interleaves the members' access
@@ -26,11 +32,29 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..query.physical import QueryPlan
-from .interference import InterferenceModel
+from .interference import CoRunPrediction, InterferenceModel
 from .workload import WorkloadQuery
 
-__all__ = ["Task", "SchedulePolicy", "FifoSerialPolicy",
-           "MaxParallelPolicy", "InterferenceAwarePolicy"]
+__all__ = ["ADMISSION_MODES", "Task", "Batch", "check_admission",
+           "form_batch", "form_batches"]
+
+#: Recognized batch-formation modes.
+ADMISSION_MODES = ("interference-aware", "max-parallel", "fifo-serial")
+
+
+def check_admission(mode: str, max_batch: int, slack: float,
+                    lookahead: int) -> None:
+    """Validate the batch-formation knobs every caller takes."""
+    if mode not in ADMISSION_MODES:
+        raise ValueError(f"unknown admission mode {mode!r} (the "
+                         f"batch-formation policy must be one of "
+                         f"{ADMISSION_MODES})")
+    if max_batch < 1:
+        raise ValueError("max_batch must be positive")
+    if slack <= 0:
+        raise ValueError("slack must be positive")
+    if lookahead < 1:
+        raise ValueError("lookahead must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,111 +78,95 @@ class Task:
         return self.solo_memory_ns + self.cpu_ns
 
 
-class SchedulePolicy:
-    """Base class: a policy maps the arrival-ordered queue to batches."""
+class Batch(list):
+    """One formed co-run batch: its member tasks in admission order,
+    carrying the ⊙ prediction of every prefix the rule priced.
 
-    name = "policy"
+    ``prefix(k)`` is the co-run prediction of the first ``k`` members
+    and :attr:`prediction` the whole batch's.  Prefixes the rule did
+    not price (the contention-blind modes price none) are computed on
+    first read and kept, so no caller prices a batch twice.
+    """
 
-    def batches(self, tasks: Sequence[Task]) -> list[list[Task]]:
-        raise NotImplementedError
+    def __init__(self, tasks: Sequence, interference: InterferenceModel,
+                 priced: Sequence[CoRunPrediction] = ()) -> None:
+        super().__init__(tasks)
+        self.interference = interference
+        self._priced = dict(enumerate(priced, start=1))
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
+    def prefix(self, size: int) -> CoRunPrediction:
+        prediction = self._priced.get(size)
+        if prediction is None:
+            prediction = self.interference.co_run(
+                [t.plan for t in self[:size]])
+            self._priced[size] = prediction
+        return prediction
 
-
-class FifoSerialPolicy(SchedulePolicy):
-    """Serial baseline: every query runs alone, in arrival order."""
-
-    name = "fifo-serial"
-
-    def batches(self, tasks: Sequence[Task]) -> list[list[Task]]:
-        return [[t] for t in tasks]
-
-
-class MaxParallelPolicy(SchedulePolicy):
-    """Naive maximal concurrency: fill each batch to ``max_batch`` in
-    arrival order, regardless of predicted interference."""
-
-    name = "max-parallel"
-
-    def __init__(self, max_batch: int = 4) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        self.max_batch = max_batch
-
-    def batches(self, tasks: Sequence[Task]) -> list[list[Task]]:
-        return [list(tasks[i:i + self.max_batch])
-                for i in range(0, len(tasks), self.max_batch)]
-
-    def __repr__(self) -> str:
-        return f"MaxParallelPolicy(max_batch={self.max_batch})"
+    @property
+    def prediction(self) -> CoRunPrediction:
+        return self.prefix(len(self))
 
 
-class InterferenceAwarePolicy(SchedulePolicy):
-    """Greedy makespan-minimizing co-scheduling under the ⊙ model.
+def form_batch(tasks: Sequence, interference: InterferenceModel, *,
+               mode: str, max_batch: int, slack: float, lookahead: int,
+               seed: int = 0) -> Batch:
+    """Form one batch from the arrival-ordered ``tasks`` (left
+    unchanged), seeded with ``tasks[seed]``.
 
-    Batch construction: seed with the longest-waiting queued task, then
-    repeatedly add the candidate whose admission yields the smallest
-    predicted batch makespan.  **Admission control**: a candidate is
-    admitted only if
+    In ``"interference-aware"`` mode the batch repeatedly takes the
+    candidate whose admission yields the smallest predicted makespan,
+    admitting a candidate ``c`` only if
 
         makespan(batch ∪ {c})  ≤  makespan(batch) + slack · solo(c)
 
     i.e. co-running ``c`` is predicted to cost no more than running it
-    *after* the batch (``slack=1``), so a policy decision never makes
-    the predicted schedule worse than FIFO-serial.  ``slack`` trades
+    *after* the batch (``slack=1``), so a decision never makes the
+    predicted schedule worse than FIFO-serial.  ``slack`` trades
     strictness for packing: below 1 it demands a predicted win from
     concurrency, above 1 it tolerates bounded interference in exchange
-    for freeing later batches.
-
-    The candidate scan is bounded by ``lookahead`` queue positions so
-    scheduling stays ``O(queue · max_batch · lookahead)`` co-run
-    predictions, and no task is starved: unpicked candidates keep their
-    arrival order, and every pass seeds with the queue head.
+    for freeing later batches.  The candidate scan is bounded by
+    ``lookahead`` queue positions, so forming a batch costs
+    ``O(max_batch · lookahead)`` co-run predictions; unpicked
+    candidates keep their arrival order.
     """
+    first = tasks[seed]
+    rest = [t for i, t in enumerate(tasks) if i != seed]
+    if mode == "fifo-serial":
+        return Batch([first], interference)
+    if mode == "max-parallel":
+        return Batch([first, *rest[:max_batch - 1]], interference)
+    members = [first]
+    priced = [interference.co_run([first.plan])]
+    while len(members) < max_batch and rest:
+        best_index = best = None
+        plans = [t.plan for t in members]
+        for i, candidate in enumerate(rest[:lookahead]):
+            predicted = interference.co_run(plans + [candidate.plan])
+            limit = (priced[-1].makespan_ns
+                     + slack * candidate.solo_total_ns)
+            if predicted.makespan_ns > limit:
+                continue  # rejected: queueing it is cheaper
+            if best is None or predicted.makespan_ns < best.makespan_ns:
+                best_index, best = i, predicted
+        if best is None:
+            break
+        members.append(rest.pop(best_index))
+        priced.append(best)
+    return Batch(members, interference, priced)
 
-    name = "interference-aware"
 
-    def __init__(self, interference: InterferenceModel,
-                 max_batch: int = 4, slack: float = 1.0,
-                 lookahead: int = 8) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        if slack <= 0:
-            raise ValueError("slack must be positive")
-        if lookahead < 1:
-            raise ValueError("lookahead must be positive")
-        self.interference = interference
-        self.max_batch = max_batch
-        self.slack = slack
-        self.lookahead = lookahead
-
-    def _makespan(self, batch: Sequence[Task]) -> float:
-        return self.interference.co_run([t.plan for t in batch]).makespan_ns
-
-    def batches(self, tasks: Sequence[Task]) -> list[list[Task]]:
-        queue = list(tasks)
-        out: list[list[Task]] = []
-        while queue:
-            batch = [queue.pop(0)]
-            current = self._makespan(batch)
-            while len(batch) < self.max_batch and queue:
-                best_index = None
-                best_makespan = None
-                for i, candidate in enumerate(queue[:self.lookahead]):
-                    predicted = self._makespan(batch + [candidate])
-                    limit = current + self.slack * candidate.solo_total_ns
-                    if predicted > limit:
-                        continue  # rejected: queueing it is cheaper
-                    if best_makespan is None or predicted < best_makespan:
-                        best_index, best_makespan = i, predicted
-                if best_index is None:
-                    break
-                batch.append(queue.pop(best_index))
-                current = best_makespan
-            out.append(batch)
-        return out
-
-    def __repr__(self) -> str:
-        return (f"InterferenceAwarePolicy(max_batch={self.max_batch}, "
-                f"slack={self.slack}, lookahead={self.lookahead})")
+def form_batches(tasks: Sequence, interference: InterferenceModel, *,
+                 mode: str, max_batch: int, slack: float,
+                 lookahead: int) -> list[Batch]:
+    """Partition the whole arrival-ordered stream into batches, each
+    seeded with the longest-waiting task left — so no task starves."""
+    queue = list(tasks)
+    batches: list[Batch] = []
+    while queue:
+        batch = form_batch(queue, interference, mode=mode,
+                           max_batch=max_batch, slack=slack,
+                           lookahead=lookahead)
+        batches.append(batch)
+        taken = {id(t) for t in batch}
+        queue = [t for t in queue if id(t) not in taken]
+    return batches

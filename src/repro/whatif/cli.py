@@ -16,8 +16,9 @@ import argparse
 import json
 import sys
 
+from ..service.scheduler import ADMISSION_MODES
 from .space import TINY_POOL_BASE, ProfileSpace
-from .sweep import MIXES, SWEEP_POLICIES, GeneratedWorkload, WhatIfSweep
+from .sweep import MIXES, GeneratedWorkload, WhatIfSweep
 
 __all__ = ["main", "build_parser"]
 
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = unbudgeted)")
 
     sweep = parser.add_argument_group("sweep")
-    sweep.add_argument("--policy", choices=SWEEP_POLICIES,
+    sweep.add_argument("--policy", choices=ADMISSION_MODES,
                        default="interference-aware",
                        help="batch-formation policy (default: "
                             "interference-aware)")

@@ -8,12 +8,14 @@ candidate hardware — a bigger cache can change the chosen join), and
 prices the stream purely with the cost model:
 
 * standalone cost per query from the whole-plan pattern (Eq. 6.1),
-* co-run batches formed by the same ⊙-guided admission rule the
-  server uses (:class:`~repro.service.InterferenceAwarePolicy`),
+* co-run batches formed by the same ⊙ admission rule the server uses
+  (:func:`~repro.service.form_batch`, seeded from the queue head over
+  the whole stream),
 * each batch priced by
   :meth:`~repro.core.CostModel.concurrent_estimates` through
   :meth:`~repro.service.InterferenceModel.co_run` (Eq. 5.3), with
-  ``makespan = max(Σ mem_i, max_i (cpu_i + mem_i))``.
+  ``makespan = max(Σ mem_i, max_i (cpu_i + mem_i))`` — the
+  predictions the rule computed while forming the batch.
 
 Nothing executes: a sweep over machines that don't exist costs only
 model arithmetic.  Because batches complete as units on the simulated
@@ -41,13 +43,7 @@ from ..query.optimizer import plan_signature
 from ..service.executor import DEFAULT_QUANTUM, ServiceExecutor
 from ..service.interference import InterferenceModel
 from ..service.metrics import percentile
-from ..service.scheduler import (
-    FifoSerialPolicy,
-    InterferenceAwarePolicy,
-    MaxParallelPolicy,
-    SchedulePolicy,
-    Task,
-)
+from ..service.scheduler import Task, check_admission, form_batches
 from ..service.workload import (
     CONTENTION_HEAVY_MIX,
     DEFAULT_MIX,
@@ -60,7 +56,7 @@ from .report import WhatIfReport
 from .space import Candidate, ProfileSpace
 
 __all__ = ["GeneratedWorkload", "CapturedWorkload", "CandidateOutcome",
-           "SpotCheck", "WhatIfSweep", "MIXES", "SWEEP_POLICIES"]
+           "SpotCheck", "WhatIfSweep", "MIXES"]
 
 #: Named mixes the CLI and generated workloads accept.
 MIXES: Mapping[str, Mapping[str, float]] = {
@@ -68,10 +64,6 @@ MIXES: Mapping[str, Mapping[str, float]] = {
     "contention-heavy": CONTENTION_HEAVY_MIX,
     "out-of-core": OUT_OF_CORE_MIX,
 }
-
-#: Batch-formation policies a sweep can price under (the server's
-#: admission modes).
-SWEEP_POLICIES = ("interference-aware", "max-parallel", "fifo-serial")
 
 
 class GeneratedWorkload:
@@ -292,8 +284,8 @@ class WhatIfSweep:
     workload:
         A :class:`GeneratedWorkload` or :class:`CapturedWorkload`.
     policy:
-        Batch-formation policy (:data:`SWEEP_POLICIES`); a candidate's
-        ``cores`` is the batch cap.
+        Batch-formation mode (:data:`~repro.service.ADMISSION_MODES`);
+        a candidate's ``cores`` is the batch cap.
     slack / lookahead:
         Admission knobs for the interference-aware policy (the
         server's defaults).
@@ -305,9 +297,9 @@ class WhatIfSweep:
                  policy: str = "interference-aware", slack: float = 1.0,
                  lookahead: int = 8,
                  quantum: int = DEFAULT_QUANTUM) -> None:
-        if policy not in SWEEP_POLICIES:
-            raise ValueError(f"unknown policy {policy!r} "
-                             f"(expected one of {SWEEP_POLICIES})")
+        # each candidate's ``cores`` is its batch cap
+        check_admission(policy, max_batch=1, slack=slack,
+                        lookahead=lookahead)
         self.space = space
         self.workload = workload
         self.policy = policy
@@ -319,17 +311,6 @@ class WhatIfSweep:
         self.candidates: dict[str, Candidate] = {}
 
     # ------------------------------------------------------------------
-    def _make_policy(self, candidate: Candidate,
-                     interference: InterferenceModel) -> SchedulePolicy:
-        if self.policy == "fifo-serial":
-            return FifoSerialPolicy()
-        if self.policy == "max-parallel":
-            return MaxParallelPolicy(max_batch=candidate.cores)
-        return InterferenceAwarePolicy(interference,
-                                       max_batch=candidate.cores,
-                                       slack=self.slack,
-                                       lookahead=self.lookahead)
-
     def _admit(self, session: Session, queries: Sequence[WorkloadQuery],
                interference: InterferenceModel) -> list[Task]:
         tasks: list[Task] = []
@@ -349,20 +330,20 @@ class WhatIfSweep:
         session, queries = self.workload.realize(candidate)
         interference = InterferenceModel(session.hierarchy)
         tasks = self._admit(session, queries, interference)
-        policy = self._make_policy(candidate, interference)
-        batches = policy.batches(tasks)
+        batches = form_batches(tasks, interference, mode=self.policy,
+                               max_batch=candidate.cores,
+                               slack=self.slack, lookahead=self.lookahead)
         clock = 0.0
         latencies: list[float] = []
         inflation = 0.0
         co_run = 0
         for batch in batches:
-            plans = [t.plan for t in batch]
-            makespan = interference.co_run(plans).makespan_ns
+            makespan = batch.prediction.makespan_ns
             if len(batch) > 1:
                 co_run += 1
-                previous = interference.co_run(plans[:1]).makespan_ns
-                for size in range(2, len(plans) + 1):
-                    grown = interference.co_run(plans[:size]).makespan_ns
+                previous = batch.prefix(1).makespan_ns
+                for size in range(2, len(batch) + 1):
+                    grown = batch.prefix(size).makespan_ns
                     solo = batch[size - 1].solo_total_ns
                     if solo > 0:
                         inflation = max(inflation,
@@ -395,9 +376,9 @@ class WhatIfSweep:
         the measured counterpart of the ⊙ prediction) and compare the
         headline numbers."""
         session, queries = self.workload.realize(candidate)
-        interference = InterferenceModel(session.hierarchy)
         executor = ServiceExecutor(
-            session, self._make_policy(candidate, interference),
+            session, mode=self.policy, max_batch=candidate.cores,
+            slack=self.slack, lookahead=self.lookahead,
             quantum=self.quantum)
         report = executor.run(queries)
         measured_makespan = report.makespan_ns

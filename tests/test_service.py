@@ -6,13 +6,12 @@ import pytest
 
 from repro.query.physical import QueryPlan
 from repro.core import Conc, Seq, footprint_lines
+from repro.hardware import origin2000_scaled
 from repro.service import (
-    FifoSerialPolicy,
-    InterferenceAwarePolicy,
     InterferenceModel,
-    MaxParallelPolicy,
     ServiceExecutor,
     WorkloadGenerator,
+    form_batches,
     percentile,
 )
 from repro.service.executor import record_trace, replay_interleaved
@@ -183,31 +182,35 @@ class TestInterferenceModel:
             InterferenceModel(session.hierarchy).co_run([])
 
 
+def _batches(executor, tasks, mode, max_batch=4, slack=1.0):
+    return form_batches(tasks, executor.interference, mode=mode,
+                        max_batch=max_batch, slack=slack, lookahead=8)
+
+
 class TestSchedulers:
     @pytest.fixture(scope="class")
     def tasks(self, small_service):
         session, gen = small_service
-        executor = ServiceExecutor(session, FifoSerialPolicy())
+        executor = ServiceExecutor(session, mode="fifo-serial")
         return executor, executor.admit(gen.generate(10, clients=2))
 
     def test_fifo_serial_is_singletons(self, tasks):
-        _, ts = tasks
-        batches = FifoSerialPolicy().batches(ts)
+        executor, ts = tasks
+        batches = _batches(executor, ts, "fifo-serial")
         assert [len(b) for b in batches] == [1] * len(ts)
         assert [b[0].query.qid for b in batches] == list(range(len(ts)))
 
     def test_max_parallel_chunks_arrival_order(self, tasks):
-        _, ts = tasks
-        batches = MaxParallelPolicy(max_batch=4).batches(ts)
+        executor, ts = tasks
+        batches = _batches(executor, ts, "max-parallel", max_batch=4)
         assert [len(b) for b in batches] == [4, 4, 2]
         flat = [t.query.qid for b in batches for t in b]
         assert flat == list(range(len(ts)))
 
     def test_interference_aware_schedules_everything_once(self, tasks):
         executor, ts = tasks
-        policy = InterferenceAwarePolicy(executor.interference,
-                                         max_batch=4)
-        batches = policy.batches(ts)
+        batches = _batches(executor, ts, "interference-aware",
+                           max_batch=4)
         scheduled = sorted(t.query.qid for b in batches for t in b)
         assert scheduled == list(range(len(ts)))
         assert all(1 <= len(b) <= 4 for b in batches)
@@ -218,22 +221,36 @@ class TestSchedulers:
         times (slack=1): co-scheduling never *predictably* loses to
         FIFO-serial."""
         executor, ts = tasks
-        policy = InterferenceAwarePolicy(executor.interference,
-                                         max_batch=4, slack=1.0)
-        for batch in policy.batches(ts):
+        for batch in _batches(executor, ts, "interference-aware",
+                              max_batch=4, slack=1.0):
             predicted = executor.interference.co_run(
                 [t.plan for t in batch]).makespan_ns
             serial = sum(t.solo_total_ns for t in batch)
             assert predicted <= serial * (1 + 1e-9)
 
-    def test_parameter_validation(self, tasks):
-        executor, _ = tasks
+    def test_batches_carry_the_predictions_they_were_formed_with(
+            self, tasks):
+        """Every prefix prediction a batch carries — priced by the
+        rule or computed on first read — is the co-run prediction of
+        that prefix, so callers never need to re-price."""
+        executor, ts = tasks
+        for mode in ("interference-aware", "max-parallel", "fifo-serial"):
+            for batch in _batches(executor, ts, mode):
+                for size in range(1, len(batch) + 1):
+                    assert batch.prefix(size) == executor.interference.co_run(
+                        [t.plan for t in batch[:size]])
+                assert batch.prediction == batch.prefix(len(batch))
+
+    def test_parameter_validation(self, small_service):
+        session, _ = small_service
         with pytest.raises(ValueError):
-            MaxParallelPolicy(max_batch=0)
+            ServiceExecutor(session, mode="max-parallel", max_batch=0)
         with pytest.raises(ValueError):
-            InterferenceAwarePolicy(executor.interference, slack=0.0)
+            ServiceExecutor(session, slack=0.0)
         with pytest.raises(ValueError):
-            InterferenceAwarePolicy(executor.interference, lookahead=0)
+            ServiceExecutor(session, lookahead=0)
+        with pytest.raises(ValueError, match="admission mode"):
+            ServiceExecutor(session, mode="greedy")
 
 
 class TestExecutor:
@@ -241,8 +258,9 @@ class TestExecutor:
         session, _ = small_service
         plan = session.compile("sort(orders)").plan
         before = list(session.db.column("orders").values)
-        trace = record_trace(session.db, plan)
+        trace, rows = record_trace(session.db, plan)
         assert len(trace) > 0
+        assert rows == len(before)  # a sort keeps every row
         assert session.db.column("orders").values == before
         # and the real memory system is back in place
         assert session.db.mem.__class__.__name__ == "MemorySystem"
@@ -255,7 +273,8 @@ class TestExecutor:
     def test_end_to_end_report(self, small_service):
         session, gen = small_service
         workload = gen.generate(8, clients=2)
-        report = ServiceExecutor(session, MaxParallelPolicy(4)).run(workload)
+        report = ServiceExecutor(session, mode="max-parallel",
+                                 max_batch=4).run(workload)
         assert len(report.queries) == 8
         assert [q.qid for q in report.queries] == list(range(8))
         assert sum(b.size for b in report.batches) == 8
@@ -279,13 +298,35 @@ class TestExecutor:
         gen = WorkloadGenerator.contention_heavy(session=session, seed=7,
                                                  scale=512)
         workload = gen.generate(8, clients=2)
-        naive = ServiceExecutor(session, MaxParallelPolicy(4)).run(workload)
-        aware_policy = InterferenceAwarePolicy(
-            InterferenceModel(session.hierarchy), max_batch=4)
-        aware = ServiceExecutor(session, aware_policy).run(workload)
+        naive = ServiceExecutor(session, mode="max-parallel",
+                                max_batch=4).run(workload)
+        aware = ServiceExecutor(session, mode="interference-aware",
+                                max_batch=4).run(workload)
         assert aware.makespan_ns < naive.makespan_ns
         assert naive.mean_contention_error < 0.35
         assert aware.mean_contention_error < 0.35
+
+    def test_batches_follow_a_profile_swap(self):
+        """Regression: batch formation prices on the session's current
+        profile.  A policy object built before ``set_hierarchy`` used to
+        keep forming batches on the old one; an executor built before
+        the swap must now form exactly the batches a fresh one does."""
+        session = Session()
+        gen = WorkloadGenerator.contention_heavy(session=session, seed=7,
+                                                 scale=512)
+        workload = gen.generate(16, clients=4)
+        before_swap = ServiceExecutor(session, max_batch=4)
+        session.set_hierarchy(
+            origin2000_scaled().scaled_latencies({"L2": (0.05, 0.05)}))
+
+        def membership(report):
+            batches = [[] for _ in report.batches]
+            for q in report.queries:
+                batches[q.batch_index].append(q.qid)
+            return batches
+
+        fresh = ServiceExecutor(session, max_batch=4).run(workload)
+        assert membership(before_swap.run(workload)) == membership(fresh)
 
 
 class TestMetrics:
@@ -318,8 +359,8 @@ class TestMetrics:
 
     def test_report_exposes_p99(self, small_service):
         session, gen = small_service
-        report = ServiceExecutor(session, MaxParallelPolicy(4)).run(
-            gen.generate(8, clients=2))
+        report = ServiceExecutor(session, mode="max-parallel",
+                                 max_batch=4).run(gen.generate(8, clients=2))
         assert report.p95_latency_ns <= report.p99_latency_ns
         assert report.p99_latency_ns <= report.makespan_ns * (1 + 1e-9)
         assert report.to_json()["p99_latency_ns"] == report.p99_latency_ns

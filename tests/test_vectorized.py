@@ -395,9 +395,10 @@ class TestServiceTraces:
         plan_v = self._plan(vector_session, "filter(orders, even, sel=0.5)")
         db = scalar_session.db
         with db.execution_scope("scalar"):
-            trace_scalar = record_trace(db, plan_s)
+            trace_scalar, rows_scalar = record_trace(db, plan_s)
         with db.execution_scope("vectorized"):
-            trace_vector = record_trace(db, plan_v)
+            trace_vector, rows_vector = record_trace(db, plan_v)
+        assert rows_vector == rows_scalar
         assert len(trace_vector) < len(trace_scalar)  # genuinely coalesced
         assert trace_length(trace_vector) == trace_length(trace_scalar)
         assert any(entry[0] == "range" for entry in trace_vector)
@@ -428,7 +429,6 @@ class TestServiceTraces:
 
     def test_service_workload_identical_across_modes(self):
         from repro.service import ServiceExecutor, WorkloadQuery
-        from repro.service.scheduler import MaxParallelPolicy
         queries = [
             WorkloadQuery(qid=0, client=0, kind="q",
                           text="filter(orders, even, sel=0.5)"),
@@ -439,7 +439,8 @@ class TestServiceTraces:
         reports = {}
         for mode in ("scalar", "vectorized"):
             session = self._service_session(mode)
-            executor = ServiceExecutor(session, MaxParallelPolicy(max_batch=2))
+            executor = ServiceExecutor(session, mode="max-parallel",
+                                       max_batch=2)
             report = executor.run(queries)
             reports[mode] = [(m.qid, m.memory_ns, m.finish_ns)
                              for m in report.queries]

@@ -452,18 +452,14 @@ class TestServerCapacityPlan:
         assert report.to_json()["fingerprint"] == report.fingerprint
 
     def test_workload_report_carries_fingerprint(self):
-        from repro.service import (
-            FifoSerialPolicy,
-            ServiceExecutor,
-            WorkloadGenerator,
-        )
+        from repro.service import ServiceExecutor, WorkloadGenerator
         from repro.session import Session
 
         session = Session()
         gen = WorkloadGenerator.contention_heavy(session=session,
                                                  seed=7, scale=128)
         queries = gen.generate(4, clients=2)
-        report = ServiceExecutor(session, FifoSerialPolicy()).run(queries)
+        report = ServiceExecutor(session, mode="fifo-serial").run(queries)
         assert report.fingerprint == session.fingerprint
         assert report.to_json()["fingerprint"] == session.fingerprint
 
@@ -474,3 +470,35 @@ class TestServerCapacityPlan:
         space = ProfileSpace({"mem_ns": [200.0, 800.0]})
         plan = server.capacity_plan(space, clients=4)
         assert plan.baseline.fingerprint == server.report().fingerprint
+
+    @pytest.mark.parametrize("mode", ["interference-aware", "max-parallel",
+                                      "fifo-serial"])
+    def test_baseline_prices_the_batches_the_server_forms(self, mode):
+        """One admission rule in practice: with one tenant, every
+        query arrived at 0 and a queue holding the whole stream, the
+        what-if baseline (the server's own machine and admission
+        knobs) forms exactly the server's batches and predicts its
+        ⊙ makespan to the bit."""
+        from repro.server import QueryServer, TenantQuota
+        from repro.service import WorkloadGenerator
+
+        async def main():
+            server = QueryServer(mode=mode, max_workers=2, max_batch=4,
+                                 max_queue=64)
+            tenant = server.add_tenant("acme", TenantQuota(max_queued=64))
+            gen = WorkloadGenerator.contention_heavy(
+                session=tenant.session, seed=7, scale=512)
+            queries = gen.generate(12, clients=1)
+            assert all(q.arrival_ns == 0.0 for q in queries)
+            async with server:
+                await server.serve(queries)
+                await server.drain()
+            return server
+
+        server = asyncio.run(main())
+        served = server.report()
+        assert len(served.completed) == 12
+        plan = server.capacity_plan(ProfileSpace({"mem_ns": [400.0]},
+                                                 cores=4), clients=1)
+        assert plan.baseline.batches == len(served.batches)
+        assert plan.baseline.makespan_ns == served.predicted_makespan_ns
