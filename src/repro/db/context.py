@@ -140,6 +140,21 @@ class Database:
             self.execution = previous
 
     @contextmanager
+    def restoring_columns(self) -> Iterator[None]:
+        """Snapshot the registered columns' values and put them back
+        when the block exits, also on an exception.  Plans may sort
+        base columns in place; the copy is Python-level and invisible
+        to the simulated trace.  If a result aliases a base column (a
+        bare sort of a table), the restored values win."""
+        saved = {column: list(column.values)
+                 for column in self.catalog.values()}
+        try:
+            yield
+        finally:
+            for column, values in saved.items():
+                column.values = values
+
+    @contextmanager
     def operator_measurement(self) -> Iterator[list]:
         """Collect per-operator counter deltas inside the block.
 

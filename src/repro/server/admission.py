@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..query.physical import QueryPlan
 from ..service.interference import InterferenceModel
 from ..service.scheduler import (
     ADMISSION_MODES,
     Batch,
+    Task,
     check_admission,
     form_batch,
 )
@@ -45,37 +45,22 @@ from .tenant import TenantQuota
 __all__ = ["ServerTask", "AdmissionController", "ADMISSION_MODES"]
 
 
-@dataclass
-class ServerTask:
-    """One compiled query waiting in the server's run queue."""
+@dataclass(frozen=True)
+class ServerTask(Task):
+    """One compiled query waiting in the server's run queue: the
+    service's priced :class:`~repro.service.Task` (made by
+    :func:`~repro.service.compile_task`) plus what only the server
+    adds."""
 
-    qid: int
+    #: The owning tenant's name.
     tenant: str
-    kind: str
-    text: str
-    arrival_ns: float
-    plan: QueryPlan
-    #: Predicted standalone (cold, whole-cache) memory time.
-    solo_memory_ns: float
-    #: Calibrated pure-CPU time (Eq. 6.1).
-    cpu_ns: float
-    cache_hit: bool
-    signature: str = ""
-    #: Fingerprint of the tenant profile the plan was compiled (and
-    #: priced) under — response provenance across recalibrations.
-    fingerprint: str = ""
-    #: Resolution slot the server attaches (an asyncio future-like);
-    #: the controller never touches it.
+    #: Resolution slot (an asyncio future-like) the server resolves
+    #: with the response; the controller never touches it.
     handle: object = field(default=None, repr=False, compare=False)
     #: Wall-clock (``perf_counter_ns``) stamps around the compile, set
     #: by the server's compile worker; the controller never reads them.
     compile_wall_start_ns: int = 0
     compile_wall_end_ns: int = 0
-
-    @property
-    def solo_total_ns(self) -> float:
-        """Standalone completion time (Eq. 6.1: memory + CPU)."""
-        return self.solo_memory_ns + self.cpu_ns
 
     @property
     def compile_wall_ns(self) -> int:
@@ -142,7 +127,7 @@ class AdmissionController:
         jumps), or ``None`` on an empty queue."""
         if not self.queue:
             return None
-        return min(t.arrival_ns for t in self.queue)
+        return min(t.query.arrival_ns for t in self.queue)
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -164,7 +149,7 @@ class AdmissionController:
         """Form (and dequeue) the next co-run batch among the queries
         that have arrived by ``now_ns`` — empty when none have.  The
         batch carries the ⊙ predictions the rule priced."""
-        arrived = [t for t in self.queue if t.arrival_ns <= now_ns]
+        arrived = [t for t in self.queue if t.query.arrival_ns <= now_ns]
         if not arrived:
             return Batch([], self.interference)
         seed = (self._seed(arrived) if self.mode == "interference-aware"

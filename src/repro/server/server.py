@@ -20,12 +20,15 @@ started, and a decision at simulated time *t* waits for every compile
 whose query arrived by *t*), so a serving run is deterministic in
 ``(workload, seeds, policy)`` no matter how the pool's threads race.
 
-Execution reuses the PR 3 machinery verbatim: each member's access
-trace is recorded against its tenant's engine, shifted into the
-tenant's private slice of the address space (tenants do not share
-tables), and the batch replays round-robin-interleaved through one
-cold :class:`~repro.simulator.MemorySystem` — the measured counterpart
-of the ⊙ prediction the admission controller trusted.
+Compilation and execution are the service's own steps
+(:func:`~repro.service.compile_task`,
+:func:`~repro.service.executor.run_batch`): a co-run batch's traces
+are recorded against each tenant's engine, shifted into the tenant's
+private slice of the address space (tenants do not share tables), and
+replayed interleaved through one cold
+:class:`~repro.simulator.MemorySystem` on the server's machine — the
+measured counterpart of the ⊙ prediction the admission controller
+trusted.
 """
 
 from __future__ import annotations
@@ -40,16 +43,16 @@ from ..calibrator.autotune import LatencyGrid, Recalibration, Recalibrator
 from ..hardware.hierarchy import MemoryHierarchy
 from ..hardware.profiles import origin2000_scaled
 from ..obs import Tracer
-from ..query.optimizer import PlannerConfig, plan_signature
+from ..query.optimizer import PlannerConfig
 from ..service.executor import (
     DEFAULT_QUANTUM,
     BatchReplay,
-    measure_solo,
-    record_trace,
     replay_interleaved,
+    run_batch,
 )
 from ..service.interference import InterferenceModel
 from ..service.metrics import BatchMetrics, percentile
+from ..service.scheduler import Batch, compile_task
 from ..service.workload import WorkloadQuery
 from .admission import AdmissionController, ServerTask
 from .slo import DEFAULT_WINDOW_NS, SloTarget, SloTracker
@@ -277,18 +280,19 @@ class QueryServer:
         Opt-in observability (:class:`~repro.obs.Tracer`): dual-clock
         spans over the query lifecycle, live metrics (queries,
         latencies, admission decisions, plan caches, per-level
-        simulator misses), and per-operator drift monitoring on
-        solo-batch executions.  ``None`` (the default) records
-        nothing.
+        simulator misses), and per-operator drift monitoring on solo
+        batches.  ``None`` (the default) records nothing; tracing never
+        changes a simulated-clock outcome.
     recalibration:
         Opt-in online self-calibration (requires ``tracer``): each
         tenant gets a :class:`~repro.calibrator.Recalibrator` fed by
-        the solo-batch measured path; when the tracer's drift monitor
-        flags the tenant's profile, the dispatcher searches the
-        latency neighborhood over the tenant's recent samples and, on
+        solo batches; when the tracer's drift monitor flags the
+        tenant's profile, the dispatcher searches the latency
+        neighborhood over the tenant's recent samples and, on
         improvement, swaps the tenant's hierarchy in — retiring its
-        cached plans (visible as ``plan_cache_retirements_total``)
-        and stamping subsequent responses with the new fingerprint.
+        cached plans (visible as ``plan_cache_retirements_total``),
+        pricing and stamping subsequent compiles with the new profile.
+        Batches are still simulated on the server's ``hierarchy``.
         All decisions happen on the dispatcher's simulated clock, so
         runs stay deterministic in (workload, seeds, policy).
     recalibration_grid / recalibration_min_samples / recalibration_dir:
@@ -353,7 +357,6 @@ class QueryServer:
         self._staged: list[ServerTask] = []  # compiled, not yet admitted
         self._outstanding = 0
         self._machine_lock = threading.Lock()
-        self._model_lock = threading.Lock()
         # observability (all no-ops when tracer is None)
         self.tracer = tracer
         if tracer is not None:
@@ -514,7 +517,8 @@ class QueryServer:
         self._idle.clear()
         self._compiling[qid] = arrival
         compile_future = loop.run_in_executor(
-            self._pool, self._compile, owner, qid, kind, text, arrival)
+            self._pool, self._compile, owner, qid, kind, text, arrival,
+            response)
 
         def _compiled(done: asyncio.Future) -> None:
             del self._compiling[qid]
@@ -528,7 +532,6 @@ class QueryServer:
                 # Stage only: the admission (quota/shedding) decision is
                 # the dispatcher's, made on the simulated clock — queue
                 # state must not depend on how compile threads raced.
-                task.handle = response
                 self._staged.append(task)
             self._wake.set()
 
@@ -573,65 +576,32 @@ class QueryServer:
 
     # -- worker-side stages --------------------------------------------
     def _compile(self, tenant: Tenant, qid: int, kind: str, text: str,
-                 arrival_ns: float) -> ServerTask:
+                 arrival_ns: float, handle) -> ServerTask:
         """Worker thread: compile through the tenant's (thread-safe)
         plan cache and price the standalone run."""
         wall_start = time.perf_counter_ns()
-        session = tenant.worker_session()
-        planned = session.compile(text)
-        plan = planned.plan
-        with self._model_lock:
-            memory, cpu = self.interference.standalone(plan)
-        return ServerTask(qid=qid, tenant=tenant.name, kind=kind,
-                          text=text, arrival_ns=arrival_ns, plan=plan,
-                          solo_memory_ns=memory, cpu_ns=cpu,
-                          cache_hit=session.last_compile_cached,
-                          signature=plan_signature(plan.root),
-                          fingerprint=session.fingerprint,
+        query = WorkloadQuery(qid=qid, client=tenant.index, kind=kind,
+                              text=text, arrival_ns=arrival_ns)
+        task = compile_task(tenant.worker_session(), query,
+                            self.interference)
+        return ServerTask(**vars(task), tenant=tenant.name, handle=handle,
                           compile_wall_start_ns=wall_start,
                           compile_wall_end_ns=time.perf_counter_ns())
 
-    def _execute_batch(self, batch: list[ServerTask], start_ns: float):
-        """Worker thread: record each member's trace against its
-        tenant's engine (shifted into the tenant's address slice) and
-        replay the batch interleaved through one cold memory system on
-        the server's machine.
-
-        With a tracer attached, a *solo* batch takes the typed
-        measured path instead — one execution against a fresh cold
-        memory system, which yields the identical counters a
-        single-trace replay would (the out-of-core suite proves
-        replay == execution) *plus* per-operator attribution for
-        operator spans and drift monitoring.  Responses are identical
-        either way; only the observability gains detail.
-        """
+    def _execute_batch(self, batch: Batch, start_ns: float):
+        """Worker thread: run the batch on the server's machine (never
+        a tenant's possibly recalibrated profile), each member's trace
+        shifted into its tenant's address slice."""
         wall_start = time.perf_counter_ns()
-        measured = None
+        members = []
+        for task in batch:
+            tenant = self.tenants[task.tenant]
+            members.append((tenant.session, task.plan,
+                            tenant.address_offset))
         with self._machine_lock:
-            if self.tracer is not None and len(batch) == 1:
-                tenant = self.tenants[batch[0].tenant]
-                measured = measure_solo(tenant.session, batch[0].plan)
-                elapsed = measured.counters.elapsed_ns
-                replay = BatchReplay(total_ns=elapsed,
-                                     memory_ns=(elapsed,),
-                                     finish_ns=(elapsed,),
-                                     counters=measured.counters)
-                rows = [len(measured.column.values)]
-            else:
-                traces, rows = [], []
-                for task in batch:
-                    tenant = self.tenants[task.tenant]
-                    with tenant.db.execution_scope(
-                            tenant.session.config.execution):
-                        trace, nrows = record_trace(tenant.db, task.plan)
-                    rows.append(nrows)
-                    offset = tenant.address_offset
-                    traces.append(
-                        [("range", e[1] + offset, e[2], e[3], e[4])
-                         if e[0] == "range" else (e[0] + offset, e[1])
-                         for e in trace] if offset else trace)
-                replay = replay_interleaved(self.hierarchy, traces,
-                                            quantum=self.quantum)
+            replay, rows, measured = run_batch(
+                self.hierarchy, members, self.quantum,
+                replay=replay_interleaved)
         return replay, rows, measured, wall_start, time.perf_counter_ns()
 
     # -- dispatcher ----------------------------------------------------
@@ -640,22 +610,23 @@ class QueryServer:
         when it never got in, the displacement time for a victim)."""
         tenant = self.tenants[task.tenant]
         tenant.shed += 1
+        query = task.query
         response = ServerResponse(
-            qid=task.qid, tenant=task.tenant, kind=task.kind,
-            text=task.text, outcome="shed",
-            arrival_ns=task.arrival_ns, start_ns=at_ns,
+            qid=task.qid, tenant=task.tenant, kind=query.kind,
+            text=query.text, outcome="shed",
+            arrival_ns=query.arrival_ns, start_ns=at_ns,
             finish_ns=at_ns, signature=task.signature,
             fingerprint=task.fingerprint,
             compile_wall_ns=task.compile_wall_ns)
         self._responses.append(response)
         if self.tracer is not None:
-            self._m_queries.inc(tenant=task.tenant, kind=task.kind,
+            self._m_queries.inc(tenant=task.tenant, kind=query.kind,
                                 outcome="shed")
             self.tracer.span(
                 "query", track=f"tenant:{task.tenant}",
                 category="query", qid=task.qid,
-                sim_start_ns=task.arrival_ns, sim_end_ns=at_ns,
-                kind=task.kind, outcome="shed",
+                sim_start_ns=query.arrival_ns, sim_end_ns=at_ns,
+                kind=query.kind, outcome="shed",
                 signature=task.signature)
         if task.handle is not None and not task.handle.done():
             task.handle.set_result(response)
@@ -672,8 +643,8 @@ class QueryServer:
         here, on the simulated clock, so queue state is a function of
         the workload, never of compile-thread timing."""
         due = sorted((t for t in self._staged
-                      if t.arrival_ns <= now_ns),
-                     key=lambda t: (t.arrival_ns, t.qid))
+                      if t.query.arrival_ns <= now_ns),
+                     key=lambda t: (t.query.arrival_ns, t.qid))
         for task in due:
             self._staged.remove(task)
             quota = self.tenants[task.tenant].quota
@@ -688,10 +659,10 @@ class QueryServer:
                         self._m_admission.inc(tenant=victim.tenant,
                                               decision="displaced")
             for victim in victims:
-                self._shed(victim,
-                           victim.arrival_ns if victim is task else now_ns)
+                self._shed(victim, (victim.query.arrival_ns
+                                    if victim is task else now_ns))
 
-    def _trace_batch(self, batch: list[ServerTask], now: float,
+    def _trace_batch(self, batch: Batch, now: float,
                      index: int, finishes: list[float],
                      makespan: float, replay: BatchReplay, measured,
                      wall0: int, wall1: int) -> None:
@@ -709,24 +680,23 @@ class QueryServer:
         for i, task in enumerate(batch):
             track = f"tenant:{task.tenant}"
             finish_abs = now + finishes[i]
+            arrival = task.query.arrival_ns
             root = tracer.span(
                 "query", track=track, category="query", qid=task.qid,
-                sim_start_ns=task.arrival_ns, sim_end_ns=finish_abs,
-                kind=task.kind, outcome="ok", batch_index=index,
+                sim_start_ns=arrival, sim_end_ns=finish_abs,
+                kind=task.query.kind, outcome="ok", batch_index=index,
                 batch_size=len(batch), cache_hit=task.cache_hit,
                 signature=task.signature)
             tracer.span(
                 "queue", track=track, category="queue", qid=task.qid,
-                parent=root.sid, sim_start_ns=task.arrival_ns,
-                sim_end_ns=now)
+                parent=root.sid, sim_start_ns=arrival, sim_end_ns=now)
             # A compile is an instant on the simulated clock (the
             # machine never pays for it) but an interval on the wall
             # clock — the dual-clock case in one span.
             tracer.span(
                 "compile", track=track, category="compile",
                 qid=task.qid, parent=root.sid,
-                sim_start_ns=task.arrival_ns,
-                sim_end_ns=task.arrival_ns,
+                sim_start_ns=arrival, sim_end_ns=arrival,
                 wall_start_ns=task.compile_wall_start_ns,
                 wall_end_ns=task.compile_wall_end_ns,
                 cache_hit=task.cache_hit)
@@ -755,25 +725,23 @@ class QueryServer:
                     memory_ns=replay.memory_ns[i], cpu_ns=task.cpu_ns)
             tracer.instant("respond", track=track, at_ns=finish_abs,
                            qid=task.qid, parent=root.sid)
-            self._m_queries.inc(tenant=task.tenant, kind=task.kind,
+            self._m_queries.inc(tenant=task.tenant, kind=task.query.kind,
                                 outcome="ok")
             self._m_admission.inc(tenant=task.tenant,
                                   decision="admitted")
-            self._m_latency.observe(finish_abs - task.arrival_ns,
+            self._m_latency.observe(finish_abs - arrival,
                                     tenant=task.tenant)
-            self._m_queue_wait.observe(now - task.arrival_ns,
-                                       tenant=task.tenant)
+            self._m_queue_wait.observe(now - arrival, tenant=task.tenant)
         self._m_batches.inc(policy=self.admission.mode)
         self._m_batch_size.observe(float(len(batch)))
         self._m_clock.set(self._clock)
         self._m_depth.set(float(len(self.admission.queue)))
-        if replay.counters is not None:
-            for level in replay.counters.levels:
-                self._m_level_hits.inc(level.hits, level=level.name)
-                self._m_level_misses.inc(level.seq_misses,
-                                         level=level.name, kind="seq")
-                self._m_level_misses.inc(level.rand_misses,
-                                         level=level.name, kind="rand")
+        for level in replay.counters.levels:
+            self._m_level_hits.inc(level.hits, level=level.name)
+            self._m_level_misses.inc(level.seq_misses,
+                                     level=level.name, kind="seq")
+            self._m_level_misses.inc(level.rand_misses,
+                                     level=level.name, kind="rand")
 
     def _maybe_recalibrate(self, task: ServerTask, tenant: Tenant,
                            measured, events, at_ns: float) -> None:
@@ -808,7 +776,7 @@ class QueryServer:
             await self._wake.wait()
             self._wake.clear()
             while self._staged or self.admission.queue:
-                arrivals = [t.arrival_ns for t in self._staged]
+                arrivals = [t.query.arrival_ns for t in self._staged]
                 queued_earliest = self.admission.earliest_arrival()
                 if queued_earliest is not None:
                     arrivals.append(queued_earliest)
@@ -827,15 +795,16 @@ class QueryServer:
                         self._pool, self._execute_batch, batch, now)
                 index = self._batch_index
                 self._batch_index += 1
-                finishes, makespan = replay.timing(
-                    [task.cpu_ns for task in batch])
+                finishes, metrics = replay.metrics(index, batch)
+                makespan = metrics.measured_makespan_ns
                 for task, finish, nrows in zip(batch, finishes, rows):
                     tenant = self.tenants[task.tenant]
                     tenant.completed += 1
                     response = ServerResponse(
                         qid=task.qid, tenant=task.tenant,
-                        kind=task.kind, text=task.text, outcome="ok",
-                        arrival_ns=task.arrival_ns, start_ns=now,
+                        kind=task.query.kind, text=task.query.text,
+                        outcome="ok", arrival_ns=task.query.arrival_ns,
+                        start_ns=now,
                         finish_ns=now + finish, rows=nrows,
                         cache_hit=task.cache_hit, batch_index=index,
                         batch_size=len(batch),
@@ -849,13 +818,7 @@ class QueryServer:
                             and not task.handle.done():
                         task.handle.set_result(response)
                     self._resolve_bookkeeping()
-                prediction = batch.prediction
-                self._batches.append(BatchMetrics(
-                    index=index, size=len(batch),
-                    predicted_memory_ns=prediction.batch_memory_ns,
-                    measured_memory_ns=replay.total_ns,
-                    predicted_makespan_ns=prediction.makespan_ns,
-                    measured_makespan_ns=makespan))
+                self._batches.append(metrics)
                 self._clock = now + makespan
                 if self.tracer is not None:
                     self._trace_batch(batch, now, index, finishes,

@@ -17,11 +17,11 @@ provenance (hit/miss) per worker while plans are shared tenant-wide.
 Because every :class:`~repro.db.Database` allocates from the same base
 address, different tenants' traces would alias in a co-run replay —
 two tenants' tables are *not* the same memory.  Each tenant therefore
-carries an :attr:`address_offset` (``index × 8 GiB``) the server adds
-to its trace addresses before interleaved replay: line/page alignment
-is preserved (the stride is a multiple of every line and page size),
-but tags differ, so tenants genuinely compete instead of accidentally
-sharing.
+carries an :attr:`address_offset` (``index × 8 GiB``) the trace
+recorder adds to every address it records for a co-run batch:
+line/page alignment is preserved (the stride is a multiple of every
+line and page size), but tags differ, so tenants genuinely compete
+instead of accidentally sharing.
 """
 
 from __future__ import annotations

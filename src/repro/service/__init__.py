@@ -13,12 +13,15 @@ queries may share the machine.
   query streams over a shared :class:`~repro.session.Session` catalog,
 * :mod:`repro.service.interference` — the ⊙ co-run cost model
   (:class:`InterferenceModel`, :class:`CoRunPrediction`),
-* :mod:`repro.service.scheduler` — the one ⊙ admission rule
+* :mod:`repro.service.scheduler` — the one compile step
+  (:func:`compile_task`) and the one ⊙ admission rule
   (:func:`form_batch` over :data:`ADMISSION_MODES`) every batch
   former shares: the server, the executor, and the what-if sweep,
-* :mod:`repro.service.executor` — the simulated-time multi-client
-  executor (record each plan's access trace, replay co-run batches
-  interleaved through one shared memory system),
+* :mod:`repro.service.executor` — the one batch runner
+  (:func:`~repro.service.executor.run_batch`: a solo member measured
+  directly, a co-run batch's recorded traces replayed interleaved
+  through one shared memory system) and the simulated-time
+  multi-client executor built on it,
 * :mod:`repro.service.metrics` — per-query/per-batch metrics and the
   rendered :class:`WorkloadReport`.
 """
@@ -30,6 +33,7 @@ from .scheduler import (
     ADMISSION_MODES,
     Batch,
     Task,
+    compile_task,
     form_batch,
     form_batches,
 )
@@ -50,6 +54,7 @@ __all__ = [
     "ADMISSION_MODES",
     "Batch",
     "Task",
+    "compile_task",
     "form_batch",
     "form_batches",
     "ServiceExecutor",

@@ -2,12 +2,14 @@
 
 The trace-driven simulator executes one access at a time, so
 *concurrency* is simulated the way the ⊙ model describes it: record
-each plan's access trace (the exact sequence of ``(address, nbytes)``
-the engine's operators issue), then replay a batch's traces
-**interleaved round-robin** through a single cold
+each plan's access trace (the exact sequence of accesses the engine's
+operators issue), then replay a batch's traces **interleaved
+round-robin** through a single cold
 :class:`~repro.simulator.MemorySystem`.  The interleaved replay makes
 the co-runners genuinely compete for every cache level — the measured
-counterpart of composing their patterns under ``⊙``.
+counterpart of composing their patterns under ``⊙``.  A solo batch
+needs no interleaving and is measured directly; :func:`run_batch`, the
+one batch runner of the executor and the query server, picks the path.
 
 Recording happens against the shared :class:`~repro.db.Database` (one
 address space, so two queries over one table really do share lines),
@@ -25,7 +27,6 @@ queries' stalls.  Batches execute in sequence on a simulated clock.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,11 +40,12 @@ from ..simulator.counters import CounterSnapshot
 from ..simulator.memory import MemorySystem
 from .interference import InterferenceModel
 from .metrics import BatchMetrics, QueryMetrics, WorkloadReport
-from .scheduler import Task, check_admission, form_batches
+from .scheduler import Batch, Task, check_admission, compile_task, \
+    form_batches
 from .workload import WorkloadQuery
 
 __all__ = ["TraceRecorder", "record_trace", "replay_interleaved",
-           "trace_length", "measure_solo", "BatchReplay",
+           "trace_length", "measure_solo", "run_batch", "BatchReplay",
            "ServiceExecutor"]
 
 
@@ -53,31 +55,38 @@ class TraceRecorder:
     ever call :meth:`access`/:meth:`read`/:meth:`write` — or, since the
     vectorized engine, :meth:`access_range` and :meth:`batch`).
 
-    Trace entries are either a plain ``(addr, nbytes)`` access or a
-    coalesced ``("range", addr, nbytes, stride, count)`` run standing
-    for ``count`` accesses; replay expands ranges access-for-access, so
-    a trace recorded under vectorized execution replays to the same
-    counters as its scalar recording."""
+    Trace entries are a plain ``(addr, nbytes)`` access or a coalesced
+    ``("range", addr, nbytes, stride, count)`` run standing for
+    ``count`` accesses, each with a trailing ``True`` when it writes;
+    replay expands ranges access-for-access, so a trace recorded under
+    vectorized execution replays to the same counters (buffer-pool
+    write-backs included) as its scalar recording.  ``offset`` shifts
+    every address (a tenant's private slice of a shared replay)."""
 
-    __slots__ = ("trace",)
+    __slots__ = ("trace", "offset")
 
-    def __init__(self) -> None:
+    def __init__(self, offset: int = 0) -> None:
         self.trace: list[tuple] = []
+        self.offset = offset
 
     def access(self, addr: int, nbytes: int = 1, write: bool = False) -> None:
-        self.trace.append((addr, nbytes))
+        addr += self.offset
+        self.trace.append((addr, nbytes, True) if write else (addr, nbytes))
 
     def access_range(self, addr: int, nbytes: int, stride: int | None = None,
                      count: int = 1, write: bool = False) -> None:
         if count > 0:
-            self.trace.append(("range", addr, nbytes,
-                               nbytes if stride is None else stride, count))
+            entry = ("range", addr + self.offset, nbytes,
+                     nbytes if stride is None else stride, count)
+            self.trace.append(entry + (True,) if write else entry)
 
     def batch(self):
-        trace = self.trace
+        append = self.trace.append
+        offset = self.offset
 
         def fused(addr: int, nbytes: int = 8, write: bool = False) -> None:
-            trace.append((addr, nbytes))
+            addr += offset
+            append((addr, nbytes, True) if write else (addr, nbytes))
 
         return fused
 
@@ -94,27 +103,15 @@ def trace_length(trace: Sequence[tuple]) -> int:
     return sum(entry[4] if entry[0] == "range" else 1 for entry in trace)
 
 
-@contextmanager
-def _restored_columns(db: Database):
-    """Snapshot/restore registered columns' values (in-place sorts must
-    not leak between recordings; the copy is Python-level and invisible
-    to the simulated trace)."""
-    saved = {column: list(column.values) for column in db.catalog.values()}
-    try:
-        yield
-    finally:
-        for column, values in saved.items():
-            column.values = values
-
-
-def record_trace(db: Database, plan: QueryPlan) -> tuple[list[tuple], int]:
+def record_trace(db: Database, plan: QueryPlan, offset: int = 0
+                 ) -> tuple[list[tuple], int]:
     """Execute ``plan`` against ``db`` with a recording memory system;
-    returns its access trace and the result's row count.  Base columns
-    are restored afterwards, so every batch member records against the
-    same base state."""
-    recorder = TraceRecorder()
+    returns its access trace (addresses shifted by ``offset``) and the
+    result's row count.  Base columns are restored afterwards, so every
+    batch member records against the same base state."""
+    recorder = TraceRecorder(offset)
     real = db.mem
-    with _restored_columns(db):
+    with db.restoring_columns():
         db.mem = recorder
         try:
             result = plan.execute(db)
@@ -125,7 +122,8 @@ def record_trace(db: Database, plan: QueryPlan) -> tuple[list[tuple], int]:
 
 @dataclass(frozen=True)
 class BatchReplay:
-    """The measured outcome of one interleaved batch replay."""
+    """The measured outcome of one batch: an interleaved replay, or a
+    solo member's measured run."""
 
     #: Total memory time of the batch (sum of all attributed latencies).
     total_ns: float
@@ -136,18 +134,25 @@ class BatchReplay:
     #: Per-level hit/miss counters of the shared memory system after
     #: the whole batch drained — the sample the metrics registry takes
     #: at batch boundaries.
-    counters: CounterSnapshot | None = None
+    counters: CounterSnapshot
 
-    def timing(self, cpu_ns: Sequence[float]
-               ) -> tuple[list[float], float]:
-        """Each member's finish time (relative to the batch start)
-        given its pure-CPU time, and the batch makespan.  A member is
-        done once its accesses have drained *and* its own CPU work fits
-        after/between them; the batch is done when its last member is
-        and the shared hierarchy has drained."""
-        finishes = [max(finish, memory + cpu) for finish, memory, cpu
-                    in zip(self.finish_ns, self.memory_ns, cpu_ns)]
-        return finishes, max(max(finishes), self.total_ns)
+    def metrics(self, index: int, batch: Batch
+                ) -> tuple[list[float], BatchMetrics]:
+        """Each member's finish time (relative to the batch start) and
+        the batch's measurement next to the ⊙ prediction it was formed
+        with.  A member is done once its accesses have drained *and*
+        its own CPU work fits after/between them; the batch is done
+        when its last member is and the shared hierarchy has
+        drained."""
+        finishes = [max(finish, memory + task.cpu_ns) for finish, memory, task
+                    in zip(self.finish_ns, self.memory_ns, batch)]
+        prediction = batch.prediction
+        return finishes, BatchMetrics(
+            index=index, size=len(batch),
+            predicted_memory_ns=prediction.batch_memory_ns,
+            measured_memory_ns=self.total_ns,
+            predicted_makespan_ns=prediction.makespan_ns,
+            measured_makespan_ns=max(max(finishes), self.total_ns))
 
 
 #: Default time-slice length (accesses per turn) of the interleaved
@@ -184,8 +189,9 @@ def replay_interleaved(hierarchy: MemoryHierarchy,
     # Per-trace cursor: (entry index, accesses already replayed out of
     # the current entry).  A coalesced range entry stands for `count`
     # accesses, and a quantum boundary may split it mid-run — the
-    # remainder replays as access_range(addr + done * stride, ...),
-    # which is access-for-access identical to finishing the loop.
+    # remainder replays as access_range(addr + done * stride, ...) with
+    # the run's write bit, which is access-for-access identical to
+    # finishing the loop.
     positions: list[tuple[int, int]] = [(0, 0)] * n
     active = [i for i in range(n) if trace_length(traces[i]) > 0]
     while active:
@@ -198,18 +204,17 @@ def replay_interleaved(hierarchy: MemoryHierarchy,
             while budget > 0 and entry_index < len(trace):
                 entry = trace[entry_index]
                 if entry[0] == "range":
-                    _, addr, nbytes, stride, count = entry
+                    _, addr, nbytes, stride, count, *write = entry
                     take = min(count - done, budget)
                     mem.access_range(addr + done * stride, nbytes,
-                                     stride, take)
+                                     stride, take, *write)
                     budget -= take
                     done += take
                     if done == count:
                         entry_index += 1
                         done = 0
                 else:
-                    addr, nbytes = entry
-                    mem.access(addr, nbytes)
+                    mem.access(*entry)
                     budget -= 1
                     entry_index += 1
             memory[i] += mem.elapsed_ns - before
@@ -225,19 +230,21 @@ def replay_interleaved(hierarchy: MemoryHierarchy,
                        counters=mem.snapshot())
 
 
-def measure_solo(session: Session, plan: QueryPlan) -> MeasuredResult:
-    """One plan's cold typed measurement over ``session``'s engine.
+def measure_solo(session: Session, plan: QueryPlan,
+                 hierarchy: MemoryHierarchy) -> MeasuredResult:
+    """One plan's cold typed measurement over ``session``'s engine,
+    simulated on ``hierarchy`` — the machine the batch runs on, which a
+    served tenant's recalibrated profile only prices, never simulates.
 
     Runs against a *fresh* memory system swapped in for the duration
     (the engine's own clock and cache state stay untouched, exactly as
     trace recording + replay guarantee), with base columns restored so
-    later runs observe the same base state — the solo-batch path both
-    the offline executor and the query server use."""
+    later runs observe the same base state."""
     db = session.db
     real = db.mem
-    db.mem = MemorySystem(session.hierarchy)
+    db.mem = MemorySystem(hierarchy)
     try:
-        with _restored_columns(db), \
+        with db.restoring_columns(), \
                 db.execution_scope(session.config.execution):
             return measure_plan(db, plan, session.model,
                                 pipeline=session.config.pipeline,
@@ -246,6 +253,37 @@ def measure_solo(session: Session, plan: QueryPlan) -> MeasuredResult:
                                 signature=plan_signature(plan.root))
     finally:
         db.mem = real
+
+
+def run_batch(hierarchy: MemoryHierarchy,
+              members: Sequence[tuple[Session, QueryPlan, int]],
+              quantum: int = DEFAULT_QUANTUM, replay=replay_interleaved
+              ) -> tuple[BatchReplay, list[int], MeasuredResult | None]:
+    """Execute and measure one batch of ``(session, plan, address
+    offset)`` members on ``hierarchy``.
+
+    A solo member runs through :func:`measure_solo`: the counters a
+    single-trace replay would give (record → replay equals direct
+    execution) *plus* per-operator attribution.  A co-run batch
+    records each member's trace, shifted by its offset, and replays
+    them through ``replay`` (the caller's :func:`replay_interleaved`
+    binding).  Returns the :class:`BatchReplay`, each member's row
+    count, and the solo member's measurement (``None`` for a co-run
+    batch)."""
+    if len(members) == 1:
+        session, plan, _ = members[0]
+        measured = measure_solo(session, plan, hierarchy)
+        elapsed = measured.measured_ns
+        solo = BatchReplay(total_ns=elapsed, memory_ns=(elapsed,),
+                           finish_ns=(elapsed,), counters=measured.counters)
+        return solo, [len(measured.column.values)], measured
+    traces, rows = [], []
+    for session, plan, offset in members:
+        with session.db.execution_scope(session.config.execution):
+            trace, nrows = record_trace(session.db, plan, offset)
+        traces.append(trace)
+        rows.append(nrows)
+    return replay(hierarchy, traces, quantum=quantum), rows, None
 
 
 class ServiceExecutor:
@@ -291,17 +329,8 @@ class ServiceExecutor:
     def admit(self, queries: Sequence[WorkloadQuery]) -> list[Task]:
         """Compile every queued query through its client's session (all
         sharing one plan cache) into scheduler tasks."""
-        tasks: list[Task] = []
-        for wq in queries:
-            client = self._client_session(wq.client)
-            planned = client.compile(wq.text)
-            plan = planned.plan
-            memory, cpu = self.interference.standalone(plan)
-            tasks.append(Task(query=wq, plan=plan,
-                              solo_memory_ns=memory, cpu_ns=cpu,
-                              cache_hit=client.last_compile_cached,
-                              signature=plan_signature(plan.root)))
-        return tasks
+        return [compile_task(self._client_session(wq.client), wq,
+                             self.interference) for wq in queries]
 
     def run(self, queries: Sequence[WorkloadQuery]) -> WorkloadReport:
         """Admit, schedule, and execute ``queries``; returns the full
@@ -312,47 +341,27 @@ class ServiceExecutor:
         batches = form_batches(self.admit(queries), self.interference,
                                mode=self.mode, max_batch=self.max_batch,
                                slack=self.slack, lookahead=self.lookahead)
-        db = self.session.db
         clock = 0.0
         query_metrics: list[QueryMetrics] = []
         batch_metrics: list[BatchMetrics] = []
         for index, batch in enumerate(batches):
-            if len(batch) == 1:
-                # A solo member needs no interleaving: run it through
-                # the typed measured path, which yields the identical
-                # cold-cache counters a single-trace replay would (the
-                # out-of-core suite proves replay == execution) *plus*
-                # per-operator predicted-vs-measured attribution.
-                measured = measure_solo(self.session, batch[0].plan)
-                elapsed = measured.measured_ns
-                replay = BatchReplay(total_ns=elapsed,
-                                     memory_ns=(elapsed,),
-                                     finish_ns=(elapsed,))
-                operators = (measured.operators,)
-            else:
-                with db.execution_scope(self.session.config.execution):
-                    traces = [record_trace(db, t.plan)[0] for t in batch]
-                replay = replay_interleaved(self.session.hierarchy, traces,
-                                            quantum=self.quantum)
-                operators = (None,) * len(batch)
-            finishes, makespan = replay.timing([t.cpu_ns for t in batch])
+            replay, _, measured = run_batch(
+                self.session.hierarchy,
+                [(self.session, t.plan, 0) for t in batch], self.quantum)
+            finishes, metrics = replay.metrics(index, batch)
+            operators = ((None,) * len(batch) if measured is None
+                         else (measured.operators,))
             for t, mem_ns, finish, ops in zip(batch, replay.memory_ns,
                                               finishes, operators):
                 query_metrics.append(QueryMetrics(
-                    qid=t.query.qid, client=t.query.client,
+                    qid=t.qid, client=t.query.client,
                     kind=t.query.kind, signature=t.signature,
                     batch_index=index, cache_hit=t.cache_hit,
                     start_ns=clock, finish_ns=clock + finish,
                     memory_ns=mem_ns, cpu_ns=t.cpu_ns,
                     operators=ops))
-            prediction = batch.prediction
-            batch_metrics.append(BatchMetrics(
-                index=index, size=len(batch),
-                predicted_memory_ns=prediction.batch_memory_ns,
-                measured_memory_ns=replay.total_ns,
-                predicted_makespan_ns=prediction.makespan_ns,
-                measured_makespan_ns=makespan))
-            clock += makespan
+            batch_metrics.append(metrics)
+            clock += metrics.measured_makespan_ns
         query_metrics.sort(key=lambda m: m.qid)
         return WorkloadReport(self.mode, query_metrics, batch_metrics,
                               fingerprint=self.session.fingerprint)

@@ -26,6 +26,7 @@ wins over serial execution.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,8 +98,11 @@ class InterferenceModel:
         # Standalone estimates memoized per plan: the scheduler prices
         # O(queue · batch · lookahead) candidate batches over the same
         # few plans, and a plan's solo cost never changes.  The plan is
-        # kept in the value so its id() stays unambiguous.
+        # kept in the value so its id() stays unambiguous.  The lock
+        # makes the check-then-insert atomic: the query server prices
+        # on several compile workers and the dispatcher at once.
         self._solo: dict[int, tuple[QueryPlan, float, float]] = {}
+        self._solo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _pattern(self, plan: QueryPlan):
@@ -115,15 +119,15 @@ class InterferenceModel:
         """``(memory_ns, cpu_ns)`` of ``plan`` running alone on a cold
         machine (memoized per plan)."""
         key = id(plan)
-        cached = self._solo.get(key)
-        if cached is not None:
-            return cached[1], cached[2]
-        pattern = self._pattern(plan)
-        memory = (0.0 if pattern is None
-                  else self.model.estimate(pattern).memory_ns)
-        cpu = self.cpu_time_ns(plan)
-        self._solo[key] = (plan, memory, cpu)
-        return memory, cpu
+        with self._solo_lock:
+            cached = self._solo.get(key)
+            if cached is None:
+                pattern = self._pattern(plan)
+                memory = (0.0 if pattern is None
+                          else self.model.estimate(pattern).memory_ns)
+                cached = self._solo[key] = (plan, memory,
+                                            self.cpu_time_ns(plan))
+        return cached[1], cached[2]
 
     def co_run(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:
         """Predict the contention of running ``plans`` concurrently."""

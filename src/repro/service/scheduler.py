@@ -18,7 +18,11 @@ another, the members of a batch concurrently.  Three modes
 server's :class:`~repro.server.AdmissionController` (round-robin
 tenant seeds over the queries arrived by the decision time), and the
 offline :class:`~repro.service.ServiceExecutor` and what-if sweep
-(:func:`form_batches`: queue-head seeds over the whole stream).
+(:func:`form_batches`: queue-head seeds over the whole stream).  They
+share the step before it too: :func:`compile_task` turns a query into
+the priced :class:`Task` the rule reads (the server's
+:class:`~repro.server.ServerTask` extends it with what only the server
+needs).
 
 Batches, not a continuous stream, keep the simulated-time semantics
 exact: within a batch the executor interleaves the members' access
@@ -31,12 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..query.optimizer import plan_signature
 from ..query.physical import QueryPlan
+from ..session import Session
 from .interference import CoRunPrediction, InterferenceModel
 from .workload import WorkloadQuery
 
-__all__ = ["ADMISSION_MODES", "Task", "Batch", "check_admission",
-           "form_batch", "form_batches"]
+__all__ = ["ADMISSION_MODES", "Task", "compile_task", "Batch",
+           "check_admission", "form_batch", "form_batches"]
 
 #: Recognized batch-formation modes.
 ADMISSION_MODES = ("interference-aware", "max-parallel", "fifo-serial")
@@ -59,7 +65,8 @@ def check_admission(mode: str, max_batch: int, slack: float,
 
 @dataclass(frozen=True)
 class Task:
-    """One admitted, compiled query awaiting execution."""
+    """One admitted, compiled query awaiting execution — what
+    :func:`compile_task` makes of a :class:`WorkloadQuery`."""
 
     query: WorkloadQuery
     plan: QueryPlan
@@ -70,12 +77,33 @@ class Task:
     #: Whether compilation was served from the shared plan cache.
     cache_hit: bool
     #: The chosen physical plan's one-line signature.
-    signature: str = ""
+    signature: str
+    #: Fingerprint of the profile the plan was compiled (and priced)
+    #: under — provenance across recalibrations.
+    fingerprint: str
+
+    @property
+    def qid(self) -> int:
+        return self.query.qid
 
     @property
     def solo_total_ns(self) -> float:
         """Standalone completion time (Eq. 6.1: memory + CPU)."""
         return self.solo_memory_ns + self.cpu_ns
+
+
+def compile_task(session: Session, query: WorkloadQuery,
+                 interference: InterferenceModel) -> Task:
+    """Compile ``query`` through ``session`` (and its plan cache) and
+    price its standalone run: the one step from query text to a priced
+    :class:`Task` that the executor, the what-if sweep and the query
+    server share."""
+    plan = session.compile(query.text).plan
+    memory, cpu = interference.standalone(plan)
+    return Task(query=query, plan=plan, solo_memory_ns=memory, cpu_ns=cpu,
+                cache_hit=session.last_compile_cached,
+                signature=plan_signature(plan.root),
+                fingerprint=session.fingerprint)
 
 
 class Batch(list):

@@ -20,7 +20,7 @@ identical physical plans and share plan-cache entries.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Callable, Sequence
 
@@ -335,18 +335,12 @@ class Session:
         return PreparedStatement(self, logical, self.compile(logical),
                                  self.fingerprint)
 
-    @contextmanager
     def _restoring(self, restore: bool):
         """Snapshot/restore registered columns' values around a run
-        (plans may sort shared base columns in place).  If the plan's
-        *result* aliases a base column (a bare sort of a table), the
-        restored values win — restore is meant for queries producing
-        derived output columns."""
-        saved = ({column: list(column.values)
-                  for column in self.db.catalog.values()} if restore else {})
-        yield
-        for column, values in saved.items():
-            column.values = values
+        when ``restore`` is set (:meth:`Database.restoring_columns
+        <repro.db.Database.restoring_columns>`) — restore is meant for
+        queries producing derived output columns."""
+        return self.db.restoring_columns() if restore else nullcontext()
 
     def execute(self, q, restore: bool = False) -> Column:
         """Compile (cached) and run the chosen plan.  ``restore=True``

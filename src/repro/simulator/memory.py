@@ -540,8 +540,9 @@ class MemorySystem:
 
         ``trace`` yields ``(addr, nbytes)`` or ``(addr, nbytes, write)``
         tuples, or range-coalesced ``("range", addr, nbytes, stride,
-        count, write)`` entries — the formats
-        :class:`repro.service.TraceRecorder` produces.  Replaying a
+        count)`` entries with an optional trailing ``write`` — the
+        formats :class:`repro.service.TraceRecorder` produces (it
+        appends the write flag only to writes).  Replaying a
         plan's trace against a :func:`~repro.hardware.disk_extended`
         hierarchy is how the out-of-core tests measure real pool misses
         for accesses that were recorded once, profile-independently.

@@ -39,11 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-from ..query.optimizer import plan_signature
 from ..service.executor import DEFAULT_QUANTUM, ServiceExecutor
 from ..service.interference import InterferenceModel
 from ..service.metrics import percentile
-from ..service.scheduler import Task, check_admission, form_batches
+from ..service.scheduler import check_admission, compile_task, form_batches
 from ..service.workload import (
     CONTENTION_HEAVY_MIX,
     DEFAULT_MIX,
@@ -311,25 +310,12 @@ class WhatIfSweep:
         self.candidates: dict[str, Candidate] = {}
 
     # ------------------------------------------------------------------
-    def _admit(self, session: Session, queries: Sequence[WorkloadQuery],
-               interference: InterferenceModel) -> list[Task]:
-        tasks: list[Task] = []
-        for wq in queries:
-            planned = session.compile(wq.text)
-            plan = planned.plan
-            memory, cpu = interference.standalone(plan)
-            tasks.append(Task(query=wq, plan=plan, solo_memory_ns=memory,
-                              cpu_ns=cpu,
-                              cache_hit=session.last_compile_cached,
-                              signature=plan_signature(plan.root)))
-        return tasks
-
     def price(self, candidate: Candidate) -> CandidateOutcome:
         """Predict the workload's serving behaviour on ``candidate``
         with pure model arithmetic (no execution, no simulator)."""
         session, queries = self.workload.realize(candidate)
         interference = InterferenceModel(session.hierarchy)
-        tasks = self._admit(session, queries, interference)
+        tasks = [compile_task(session, wq, interference) for wq in queries]
         batches = form_batches(tasks, interference, mode=self.policy,
                                max_batch=candidate.cores,
                                slack=self.slack, lookahead=self.lookahead)

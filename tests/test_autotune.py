@@ -418,15 +418,16 @@ class TestRecalibrator:
 # drift → response through the served loop
 # ----------------------------------------------------------------------
 
-def _recalibrating_run(n=1024, queries=5):
+def _recalibrating_run(n=1024, queries=5, traced=True):
     """A one-tenant fifo-serial server over the known-gap join
-    workload with online recalibration enabled; returns everything the
+    workload with online recalibration enabled (``traced=False``: its
+    untraced, never-recalibrating twin); returns everything the
     assertions need."""
 
     async def main():
-        tracer = Tracer()
+        tracer = Tracer() if traced else None
         server = QueryServer(mode="fifo-serial", max_workers=1,
-                             tracer=tracer, recalibration=True)
+                             tracer=tracer, recalibration=traced)
         tenant = server.add_tenant("acme")
         tenant.session.create_table("orders",
                                     random_permutation(n, seed=1))
@@ -489,6 +490,17 @@ class TestServedRecalibration:
             [r.fingerprint for r in second[3]]
         assert manifest_dumps(first[0].recalibrations[0].manifest) == \
             manifest_dumps(second[0].recalibrations[0].manifest)
+
+    def test_recalibration_keeps_measuring_the_server_machine(self):
+        """A published profile only re-prices the tenant's plans: every
+        batch is still simulated on the server's machine, so the
+        traced, recalibrating server measures exactly what its
+        untraced twin measures on the same stream."""
+        server = _recalibrating_run()[0]
+        twin = _recalibrating_run(traced=False)[0]
+        assert server.recalibrations[0].published
+        assert [b.measured_memory_ns for b in server.report().batches] \
+            == [b.measured_memory_ns for b in twin.report().batches]
 
     def test_recalibration_requires_a_tracer(self):
         with pytest.raises(ValueError, match="tracer"):

@@ -56,6 +56,7 @@ from repro.hardware import (
     tiny_test_machine,
 )
 from repro.query import PlannerConfig
+from repro.service import executor as executor_module
 from repro.service.executor import (
     TraceRecorder,
     record_trace,
@@ -177,6 +178,83 @@ class TestOperatorDifferential:
     def test_scalar_vs_vectorized(self, profile, op):
         scalar, vectorized = run_both(PROFILES[profile], OPERATIONS[op])
         assert scalar == vectorized
+
+
+def direct_vs_replayed(hierarchy_factory, mode, operation):
+    """Run ``operation(db)`` directly, then again as a recorded trace
+    replayed through a fresh memory system.  Each side gets its own
+    fresh engine, so both allocate from the same start and touch the
+    same addresses (the allocator is monotonic: on one shared engine
+    the second run would move every temporary).  Returns each side's
+    counters and buffer-pool write state."""
+    observed = []
+    for recorded in (False, True):
+        db = Database(hierarchy_factory())
+        recorder = TraceRecorder()
+        if recorded:
+            db.mem = recorder
+        with db.execution_scope(mode):
+            try:
+                operation(db)
+            except Exception:  # noqa: BLE001 - error paths replay too
+                pass
+        mem = db.mem
+        if recorded:
+            mem = MemorySystem(hierarchy_factory())
+            mem.replay(recorder.trace)
+        pool = mem.pool
+        observed.append((mem.snapshot(), pool and (pool.write_backs,
+                                                   pool.dirty_pages)))
+    return observed
+
+
+def sort_4096(db):
+    return quick_sort(db, db.create_column("U", random_permutation(
+        4096, seed=1)))
+
+
+class TestRecordReplayDifferential:
+    """Record → replay reproduces direct execution exactly: every
+    counter, plus the buffer pool's write-backs and dirty pages — the
+    write bit survives the trace format."""
+
+    @pytest.mark.parametrize("profile", ["disk", "scaled"])
+    @pytest.mark.parametrize("mode", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("op", sorted(OPERATIONS))
+    def test_replay_equals_direct(self, profile, mode, op):
+        direct, replayed = direct_vs_replayed(PROFILES[profile], mode,
+                                              OPERATIONS[op])
+        assert replayed == direct
+
+    def test_sort_write_backs_survive_replay(self):
+        direct, replayed = direct_vs_replayed(disk_extended_scaled,
+                                              "vectorized", sort_4096)
+        assert direct[1][0] > 0  # the sort does evict dirty pages
+        assert replayed == direct
+
+    def test_interleaved_replay_keeps_writes_across_quantum_splits(
+            self, monkeypatch):
+        """A written range that a quantum boundary splits stays a write
+        on both sides of the split."""
+        systems = []
+
+        class Kept(MemorySystem):
+            def __init__(self, hierarchy):
+                super().__init__(hierarchy)
+                systems.append(self)
+
+        def outcome(mem):
+            return mem.snapshot(), mem.pool.write_backs, mem.pool.dirty_pages
+
+        trace = [("range", 0, 8, 8, 4096, True), (8, 8, True), (16, 8)]
+        reference = MemorySystem(disk_extended_scaled())
+        reference.replay(trace)
+        assert reference.pool.write_backs > 0
+        monkeypatch.setattr(executor_module, "MemorySystem", Kept)
+        for quantum in (7, 10 ** 9):
+            replay_interleaved(disk_extended_scaled(), [trace],
+                               quantum=quantum)
+            assert outcome(systems[-1]) == outcome(reference)
 
 
 class TestStorage:
@@ -416,10 +494,22 @@ class TestServiceTraces:
         recorder.access_range(64, 8, 8, 0)
         recorder.access_range(64, 8, None, 3)
         recorder.access(8, 8)
+        recorder.access_range(64, 8, None, 2, write=True)
         fused = recorder.batch()
         fused(16, 8, True)
-        assert recorder.trace == [("range", 64, 8, 8, 3), (8, 8), (16, 8)]
-        assert trace_length(recorder.trace) == 5
+        assert recorder.trace == [("range", 64, 8, 8, 3), (8, 8),
+                                  ("range", 64, 8, 8, 2, True),
+                                  (16, 8, True)]
+        assert trace_length(recorder.trace) == 7
+
+    def test_recorder_offset_shifts_both_entry_shapes(self):
+        recorder = TraceRecorder(offset=1 << 33)
+        recorder.access(8, 8, write=True)
+        recorder.access_range(64, 8, None, 2)
+        recorder.batch()(16)
+        assert recorder.trace == [((1 << 33) + 8, 8, True),
+                                  ("range", (1 << 33) + 64, 8, 8, 2),
+                                  ((1 << 33) + 16, 8)]
 
     def test_replay_splits_range_at_quantum_boundary(self):
         trace = [("range", 0, 8, 8, 50)]
