@@ -2,10 +2,12 @@
 
 The ⊙ operator (Section 5.2) predicts how concurrently executing
 access patterns share a cache.  Applied *between* queries, it lets a
-scheduler decide which queries may co-run: this bench drives a
+scheduler decide which queries may co-run: this bench serves a
 join-dominated, memory-bound workload (hash tables comparable to the
-scaled L2) through the :mod:`repro.service` executor under three
-policies and shows
+scaled L2) through a :class:`~repro.server.QueryServer` under three
+admission policies — as one closed batch: a single tenant whose queue
+holds the whole stream, every query arriving at simulated time 0 — and
+shows
 
 * **throughput vs batch size** for the naive max-parallel policy —
   packing more thrashing queries per batch stops paying, and
@@ -18,8 +20,10 @@ Honours the shared ``--quick`` / ``REPRO_BENCH_QUICK`` knob (reduced
 scale and query count; same assertions).
 """
 
-from repro.service import ServiceExecutor, WorkloadGenerator
-from repro.session import Session
+import asyncio
+
+from repro.server import QueryServer, TenantQuota
+from repro.service import WorkloadGenerator
 
 #: Relative tolerance of the existing model-vs-simulator agreement
 #: tests (tests/test_model_vs_simulator_deep.py uses 0.30–0.35 for
@@ -27,9 +31,23 @@ from repro.session import Session
 MODEL_TOLERANCE = 0.35
 
 
-def _run(session, mode, workload, max_batch=4):
-    return ServiceExecutor(session, mode=mode,
-                           max_batch=max_batch).run(workload)
+def _run(mode, n_queries, scale, max_batch=4):
+    """Serve the seeded stream on a fresh server (and a fresh tenant
+    catalog and plan cache) under ``mode``; returns its report."""
+    server = QueryServer(mode=mode, max_batch=max_batch,
+                         max_queue=n_queries)
+    tenant = server.add_tenant("clients",
+                               TenantQuota(max_queued=n_queries))
+    generator = WorkloadGenerator.contention_heavy(
+        session=tenant.session, seed=7, scale=scale)
+    workload = generator.generate(n_queries, clients=4)
+
+    async def serve():
+        async with server:
+            await server.serve(workload)
+
+    asyncio.run(serve())
+    return server.report()
 
 
 def test_concurrent_workload_scheduling(quick, save_result):
@@ -37,10 +55,6 @@ def test_concurrent_workload_scheduling(quick, save_result):
     # contention regime (scale 512) is the experiment
     scale = 512
     n_queries = 8 if quick else 24
-    session = Session()
-    generator = WorkloadGenerator.contention_heavy(session=session, seed=7,
-                                                   scale=scale)
-    workload = generator.generate(n_queries, clients=4)
 
     lines = [f"== Extension: concurrent workload service "
              f"(scale = {scale}, {n_queries} queries, "
@@ -50,32 +64,33 @@ def test_concurrent_workload_scheduling(quick, save_result):
     lines.append("  naive max-parallel, throughput vs batch size:")
     naive_reports = {}
     for batch_size in (1, 2, 4, 6):
-        report = _run(session, "max-parallel", workload, batch_size)
+        report = _run("max-parallel", n_queries, scale, batch_size)
         naive_reports[batch_size] = report
         lines.append(
             f"    batch {batch_size}:  makespan "
             f"{report.makespan_ns / 1e6:>8.2f} ms   "
-            f"throughput {report.throughput_qps:>8.0f} q/s   "
+            f"throughput {report.sustained_qps:>8.0f} q/s   "
             f"p95 {report.p95_latency_ns / 1e6:>8.2f} ms")
 
     # -- policy comparison ---------------------------------------------
-    serial = _run(session, "fifo-serial", workload)
+    serial = _run("fifo-serial", n_queries, scale)
     naive = naive_reports[4]
-    aware = _run(session, "interference-aware", workload)
+    aware = _run("interference-aware", n_queries, scale)
 
     lines.append("  policy comparison (batch cap 4):")
     for report in (serial, naive, aware):
         lines.append(
             f"    {report.policy:<20} makespan "
             f"{report.makespan_ns / 1e6:>8.2f} ms   "
-            f"throughput {report.throughput_qps:>8.0f} q/s   "
+            f"throughput {report.sustained_qps:>8.0f} q/s   "
             f"p50 {report.p50_latency_ns / 1e6:>7.2f} ms   "
             f"p95 {report.p95_latency_ns / 1e6:>7.2f} ms   "
             f"⊙ err {report.mean_contention_error * 100:>5.1f}%")
+    hits = sum(1 for r in aware.completed if r.cache_hit)
     lines.append(
         f"  interference-aware vs naive makespan: "
         f"{naive.makespan_ns / aware.makespan_ns:.2f}x better; "
-        f"plan cache {aware.cache_hits}/{len(aware.queries)} hits")
+        f"plan cache {hits}/{len(aware.completed)} hits")
     save_result("ext_concurrency", "\n".join(lines))
 
     # -- acceptance -----------------------------------------------------
@@ -87,5 +102,5 @@ def test_concurrent_workload_scheduling(quick, save_result):
     assert aware.mean_contention_error < MODEL_TOLERANCE
     # sanity: the mix really is contended — packing naive batches
     # harder stops paying (batch 6 throughput below batch 2)
-    assert (naive_reports[6].throughput_qps
-            < naive_reports[2].throughput_qps)
+    assert (naive_reports[6].sustained_qps
+            < naive_reports[2].sustained_qps)

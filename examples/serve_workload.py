@@ -1,8 +1,8 @@
 """Serving a concurrent multi-client workload with ⊙-guided scheduling.
 
-Builds a shared catalog, generates a deterministic join-dominated query
-stream from four clients, and runs it through the
-:mod:`repro.service` executor under the three admission modes:
+Builds a catalog, generates a deterministic join-dominated query
+stream from four clients, and serves it through a
+:class:`repro.server.QueryServer` under the three admission modes:
 
 * **fifo-serial** — one query at a time (no interference, no overlap),
 * **max-parallel** — pack every batch to the concurrency cap, blind to
@@ -12,27 +12,49 @@ stream from four clients, and runs it through the
   co-runner only while the predicted batch makespan stays below
   queueing it.
 
-Prints each mode's simulated makespan/latency/throughput report and
-a per-batch look at how the ⊙ prediction tracks the interleaved-replay
-measurement, plus a direct co-run prediction for two thrashing joins.
+Each mode gets a fresh server with one tenant whose queue holds the
+whole stream, and every query arrives at simulated time 0 (a closed
+batch), so the modes differ only in how they form batches.  Prints
+each mode's simulated makespan/latency/throughput report and a
+per-batch look at how the ⊙ prediction tracks the interleaved-replay
+measurement, after a direct co-run prediction for two thrashing joins.
 
 Run:  PYTHONPATH=src python examples/serve_workload.py
 """
 
-from repro import Session
-from repro.service import (
-    ADMISSION_MODES,
-    InterferenceModel,
-    ServiceExecutor,
-    WorkloadGenerator,
-)
+import asyncio
+
+from repro import QueryServer, Session
+from repro.server import TenantQuota
+from repro.service import ADMISSION_MODES, InterferenceModel, \
+    WorkloadGenerator
+
+N_QUERIES = 16
+
+
+def serve(mode: str):
+    """Serve the seeded stream under ``mode`` on a fresh server (scaled
+    Origin2000: L2 64 KB, 8-entry TLB); returns its report."""
+    server = QueryServer(mode=mode, max_batch=4, max_queue=N_QUERIES)
+    tenant = server.add_tenant("clients",
+                               TenantQuota(max_queued=N_QUERIES))
+    generator = WorkloadGenerator.contention_heavy(
+        session=tenant.session, seed=7, scale=512)
+    workload = generator.generate(N_QUERIES, clients=4)
+
+    async def run() -> None:
+        async with server:
+            await server.serve(workload)
+
+    asyncio.run(run())
+    return server.report()
 
 
 def main() -> None:
-    session = Session()  # scaled Origin2000: L2 64 KB, 8-entry TLB
+    session = Session()
     generator = WorkloadGenerator.contention_heavy(session=session,
                                                    seed=7, scale=512)
-    workload = generator.generate(16, clients=4)
+    workload = generator.generate(N_QUERIES, clients=4)
     kinds = sorted({q.kind for q in workload})
     print(f"workload: {len(workload)} queries from 4 clients "
           f"(kinds: {', '.join(kinds)})\n")
@@ -50,15 +72,15 @@ def main() -> None:
 
     # -- the three admission modes on the same stream ------------------
     for mode in reversed(ADMISSION_MODES):
-        report = ServiceExecutor(session, mode=mode,
-                                 max_batch=4).run(workload)
+        report = serve(mode)
         print(report.render())
+        print("  batches:")
+        for b in report.batches:
+            print(f"    #{b.index:<3} size {b.size}  "
+                  f"mem pred {b.predicted_memory_ns / 1e6:>6.2f} ms / "
+                  f"meas {b.measured_memory_ns / 1e6:>6.2f} ms  "
+                  f"makespan {b.measured_makespan_ns / 1e6:>6.2f} ms")
         print()
-
-    stats = session.plan_cache.stats()
-    print(f"shared plan cache after serving: {stats['entries']} entries, "
-          f"{stats['hits']} hits / {stats['misses']} misses "
-          "(clients share compiled plans)")
 
 
 if __name__ == "__main__":

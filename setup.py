@@ -1,11 +1,34 @@
-"""Setuptools shim.
+"""Packaging for the ``repro`` library: ``src/`` layout, no runtime
+dependencies.
 
-The offline environment lacks the ``wheel`` package, which PEP 517
-editable installs require; ``python setup.py develop`` (or
-``pip install -e . --no-build-isolation`` on machines with ``wheel``)
-installs the package from ``pyproject.toml`` metadata.
+``pip install .`` (or ``pip install -e .``) builds from this file; on
+a machine without the ``wheel`` package, ``python setup.py develop``
+installs in place instead.  The version is read from
+``src/repro/__init__.py``, so ``repro.__version__`` is its one source.
 """
 
-from setuptools import setup
+import pathlib
+import re
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = pathlib.Path(__file__).parent / "src" / "repro" / "__init__.py"
+
+
+def read_version() -> str:
+    match = re.search(r'^__version__ = "([^"]+)"$', INIT.read_text(),
+                      re.MULTILINE)
+    if match is None:
+        raise RuntimeError(f"no __version__ line in {INIT}")
+    return match.group(1)
+
+
+setup(
+    name="repro",
+    version=read_version(),
+    description=("Generic database cost models for hierarchical memory "
+                 "systems, with a simulator, query engine and server"),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

@@ -847,7 +847,6 @@ class QueryServer:
     def capacity_plan(self, space, *, tenant: str | None = None,
                       slo_p95_ns: float | None = None,
                       clients: int | None = None,
-                      spot_check: str = "none",
                       apply_slack: bool = False):
         """Answer a capacity question from the server's own recorded
         mix: re-price everything served so far (one tenant's stream, or
@@ -861,7 +860,9 @@ class QueryServer:
         this server would actually form.  With ``apply_slack=True`` and
         an SLO target, the recommendation's derived admission slack is
         installed on the live :class:`AdmissionController` — the
-        planning loop closed.
+        planning loop closed.  Nothing executes: to verify rows on the
+        simulator, run a :class:`~repro.whatif.WhatIfSweep` with
+        ``run(spot_check=...)`` from synchronous code.
 
         Returns the :class:`~repro.whatif.WhatIfReport`.
         """
@@ -891,7 +892,7 @@ class QueryServer:
                             slack=self.admission.slack,
                             lookahead=self.admission.lookahead,
                             quantum=self.quantum)
-        report = sweep.run(slo_p95_ns=slo_p95_ns, spot_check=spot_check)
+        report = sweep.run(slo_p95_ns=slo_p95_ns)
         if apply_slack and report.recommendation is not None:
             self.admission.slack = report.recommendation.admission_slack
         return report

@@ -16,19 +16,23 @@ queries may share the machine.
 * :mod:`repro.service.scheduler` — the one compile step
   (:func:`compile_task`) and the one ⊙ admission rule
   (:func:`form_batch` over :data:`ADMISSION_MODES`) every batch
-  former shares: the server, the executor, and the what-if sweep,
+  former shares: the query server and the what-if sweep,
 * :mod:`repro.service.executor` — the one batch runner
   (:func:`~repro.service.executor.run_batch`: a solo member measured
   directly, a co-run batch's recorded traces replayed interleaved
-  through one shared memory system) and the simulated-time
-  multi-client executor built on it,
-* :mod:`repro.service.metrics` — per-query/per-batch metrics and the
-  rendered :class:`WorkloadReport`.
+  through one shared memory system),
+* :mod:`repro.service.metrics` — per-batch prediction-vs-measurement
+  metrics (:class:`BatchMetrics`) and :func:`percentile`.
+
+Serving a workload through these pieces — compile, admit, run batch
+after batch on a simulated clock, report — is the
+:class:`~repro.server.QueryServer`'s job; its
+:class:`~repro.server.ServingReport` is the one result shape.
 """
 
-from .executor import ServiceExecutor, TraceRecorder, replay_interleaved
+from .executor import TraceRecorder, replay_interleaved
 from .interference import CoRunPrediction, InterferenceModel
-from .metrics import BatchMetrics, QueryMetrics, WorkloadReport, percentile
+from .metrics import BatchMetrics, percentile
 from .scheduler import (
     ADMISSION_MODES,
     Batch,
@@ -57,11 +61,8 @@ __all__ = [
     "compile_task",
     "form_batch",
     "form_batches",
-    "ServiceExecutor",
     "TraceRecorder",
     "replay_interleaved",
-    "QueryMetrics",
     "BatchMetrics",
-    "WorkloadReport",
     "percentile",
 ]

@@ -1,4 +1,4 @@
-"""Simulated-time multi-client execution over one shared engine.
+"""The one batch runner: measuring a co-run batch on the simulator.
 
 The trace-driven simulator executes one access at a time, so
 *concurrency* is simulated the way the ⊙ model describes it: record
@@ -9,7 +9,8 @@ round-robin** through a single cold
 the co-runners genuinely compete for every cache level — the measured
 counterpart of composing their patterns under ``⊙``.  A solo batch
 needs no interleaving and is measured directly; :func:`run_batch`, the
-one batch runner of the executor and the query server, picks the path.
+batch runner of the query server (and so of what-if spot checks),
+picks the path.
 
 Recording happens against the shared :class:`~repro.db.Database` (one
 address space, so two queries over one table really do share lines),
@@ -22,7 +23,8 @@ Timing follows :mod:`repro.service.interference`: per batch,
 ``makespan = max(Σ mem_i, max_i (cpu_i + mem_i))`` with ``mem_i``
 query ``i``'s share of the replayed (contended) memory time — memory
 latencies serialize on the shared hierarchy, CPU overlaps other
-queries' stalls.  Batches execute in sequence on a simulated clock.
+queries' stalls (:meth:`BatchReplay.metrics`).  The server runs batches
+in sequence on its simulated clock.
 """
 
 from __future__ import annotations
@@ -38,15 +40,11 @@ from ..query.physical import QueryPlan
 from ..session import Session
 from ..simulator.counters import CounterSnapshot
 from ..simulator.memory import MemorySystem
-from .interference import InterferenceModel
-from .metrics import BatchMetrics, QueryMetrics, WorkloadReport
-from .scheduler import Batch, Task, check_admission, compile_task, \
-    form_batches
-from .workload import WorkloadQuery
+from .metrics import BatchMetrics
+from .scheduler import Batch
 
 __all__ = ["TraceRecorder", "record_trace", "replay_interleaved",
-           "trace_length", "measure_solo", "run_batch", "BatchReplay",
-           "ServiceExecutor"]
+           "trace_length", "measure_solo", "run_batch", "BatchReplay"]
 
 
 class TraceRecorder:
@@ -284,84 +282,3 @@ def run_batch(hierarchy: MemoryHierarchy,
         traces.append(trace)
         rows.append(nrows)
     return replay(hierarchy, traces, quantum=quantum), rows, None
-
-
-class ServiceExecutor:
-    """Drives a workload through compile → schedule → co-run replay.
-
-    Parameters
-    ----------
-    session:
-        The root session owning the shared engine, catalog, and plan
-        cache.  Each client gets its own :meth:`~Session.spawn`-ed
-        session over the same engine and cache, so compile provenance
-        (hit/miss) is tracked per client while plans are shared.
-    mode / max_batch / slack / lookahead:
-        Batch formation (:func:`~repro.service.scheduler.form_batch`;
-        ``mode`` is one of :data:`~repro.service.ADMISSION_MODES`),
-        priced on the session's *current* profile at every
-        :meth:`run`.
-    quantum:
-        Time-slice length of the interleaved replay (accesses per
-        co-runner per turn; see :data:`DEFAULT_QUANTUM`).
-    """
-
-    def __init__(self, session: Session, *,
-                 mode: str = "interference-aware", max_batch: int = 4,
-                 slack: float = 1.0, lookahead: int = 8,
-                 quantum: int = DEFAULT_QUANTUM) -> None:
-        check_admission(mode, max_batch, slack, lookahead)
-        self.session = session
-        self.mode = mode
-        self.max_batch = max_batch
-        self.slack = slack
-        self.lookahead = lookahead
-        self.quantum = quantum
-        self.interference = InterferenceModel(session.hierarchy)
-        self._clients: dict[int, Session] = {}
-
-    # ------------------------------------------------------------------
-    def _client_session(self, client: int) -> Session:
-        if client not in self._clients:
-            self._clients[client] = self.session.spawn()
-        return self._clients[client]
-
-    def admit(self, queries: Sequence[WorkloadQuery]) -> list[Task]:
-        """Compile every queued query through its client's session (all
-        sharing one plan cache) into scheduler tasks."""
-        return [compile_task(self._client_session(wq.client), wq,
-                             self.interference) for wq in queries]
-
-    def run(self, queries: Sequence[WorkloadQuery]) -> WorkloadReport:
-        """Admit, schedule, and execute ``queries``; returns the full
-        simulated-time report."""
-        if self.interference.hierarchy is not self.session.hierarchy:
-            # the shared engine's profile changed since construction
-            self.interference = InterferenceModel(self.session.hierarchy)
-        batches = form_batches(self.admit(queries), self.interference,
-                               mode=self.mode, max_batch=self.max_batch,
-                               slack=self.slack, lookahead=self.lookahead)
-        clock = 0.0
-        query_metrics: list[QueryMetrics] = []
-        batch_metrics: list[BatchMetrics] = []
-        for index, batch in enumerate(batches):
-            replay, _, measured = run_batch(
-                self.session.hierarchy,
-                [(self.session, t.plan, 0) for t in batch], self.quantum)
-            finishes, metrics = replay.metrics(index, batch)
-            operators = ((None,) * len(batch) if measured is None
-                         else (measured.operators,))
-            for t, mem_ns, finish, ops in zip(batch, replay.memory_ns,
-                                              finishes, operators):
-                query_metrics.append(QueryMetrics(
-                    qid=t.qid, client=t.query.client,
-                    kind=t.query.kind, signature=t.signature,
-                    batch_index=index, cache_hit=t.cache_hit,
-                    start_ns=clock, finish_ns=clock + finish,
-                    memory_ns=mem_ns, cpu_ns=t.cpu_ns,
-                    operators=ops))
-            batch_metrics.append(metrics)
-            clock += metrics.measured_makespan_ns
-        query_metrics.sort(key=lambda m: m.qid)
-        return WorkloadReport(self.mode, query_metrics, batch_metrics,
-                              fingerprint=self.session.fingerprint)

@@ -27,6 +27,7 @@ wins over serial execution.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,11 +98,13 @@ class InterferenceModel:
         self.model = CostModel(hierarchy)
         # Standalone estimates memoized per plan: the scheduler prices
         # O(queue · batch · lookahead) candidate batches over the same
-        # few plans, and a plan's solo cost never changes.  The plan is
-        # kept in the value so its id() stays unambiguous.  The lock
-        # makes the check-then-insert atomic: the query server prices
-        # on several compile workers and the dispatcher at once.
-        self._solo: dict[int, tuple[QueryPlan, float, float]] = {}
+        # few plans, and a plan's solo cost never changes.  Keyed
+        # weakly, so a plan a plan cache evicts or retires is freed
+        # with its entry.  The lock makes the check-then-insert atomic:
+        # the query server prices on several compile workers and the
+        # dispatcher at once.
+        self._solo: weakref.WeakKeyDictionary[
+            QueryPlan, tuple[float, float]] = weakref.WeakKeyDictionary()
         self._solo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -118,16 +121,15 @@ class InterferenceModel:
     def standalone(self, plan: QueryPlan) -> tuple[float, float]:
         """``(memory_ns, cpu_ns)`` of ``plan`` running alone on a cold
         machine (memoized per plan)."""
-        key = id(plan)
         with self._solo_lock:
-            cached = self._solo.get(key)
+            cached = self._solo.get(plan)
             if cached is None:
                 pattern = self._pattern(plan)
                 memory = (0.0 if pattern is None
                           else self.model.estimate(pattern).memory_ns)
-                cached = self._solo[key] = (plan, memory,
-                                            self.cpu_time_ns(plan))
-        return cached[1], cached[2]
+                cached = self._solo[plan] = (memory,
+                                             self.cpu_time_ns(plan))
+        return cached
 
     def co_run(self, plans: Sequence[QueryPlan]) -> CoRunPrediction:
         """Predict the contention of running ``plans`` concurrently."""

@@ -14,18 +14,20 @@ another, the members of a batch concurrently.  Three modes
   predicted makespan least, and admit a candidate only while
   co-running is predicted no slower than queueing it behind the batch.
 
-:func:`form_batch` is the rule, and every caller shares it: the query
+:func:`form_batch` is the rule, and both callers share it: the query
 server's :class:`~repro.server.AdmissionController` (round-robin
 tenant seeds over the queries arrived by the decision time), and the
-offline :class:`~repro.service.ServiceExecutor` and what-if sweep
-(:func:`form_batches`: queue-head seeds over the whole stream).  They
+what-if sweep's pricing (:func:`form_batches`: queue-head seeds over
+the whole stream).  With one tenant and the whole stream arrived at
+time zero the two seedings coincide, which is why a what-if spot check
+served by the server measures the very batches the sweep priced.  They
 share the step before it too: :func:`compile_task` turns a query into
 the priced :class:`Task` the rule reads (the server's
 :class:`~repro.server.ServerTask` extends it with what only the server
 needs).
 
 Batches, not a continuous stream, keep the simulated-time semantics
-exact: within a batch the executor interleaves the members' access
+exact: within a batch the batch runner interleaves the members' access
 traces on the shared hierarchy; across batches the machine is a simple
 sequence.
 """
@@ -96,8 +98,7 @@ def compile_task(session: Session, query: WorkloadQuery,
                  interference: InterferenceModel) -> Task:
     """Compile ``query`` through ``session`` (and its plan cache) and
     price its standalone run: the one step from query text to a priced
-    :class:`Task` that the executor, the what-if sweep and the query
-    server share."""
+    :class:`Task` that the what-if sweep and the query server share."""
     plan = session.compile(query.text).plan
     memory, cpu = interference.standalone(plan)
     return Task(query=query, plan=plan, solo_memory_ns=memory, cpu_ns=cpu,

@@ -21,25 +21,32 @@ Nothing executes: a sweep over machines that don't exist costs only
 model arithmetic.  Because batches complete as units on the simulated
 clock, a member's *predicted* completion is its batch's makespan plus
 the queueing delay behind earlier batches — the model-side counterpart
-of the executor's timing, and the definition behind predicted
-p50/p95.  Optional **spot checks** replay chosen candidates through
-the trace-driven simulator (:class:`~repro.service.ServiceExecutor`)
-to verify the prediction stays inside the validation band.
+of a served batch's timing, and the definition behind predicted
+p50/p95.  Optional **spot checks** serve chosen candidates' workload
+through a :class:`~repro.server.QueryServer` on the candidate machine
+(the trace-driven simulator) to verify the prediction stays inside
+the validation band.
 
 Workloads come in two shapes: :class:`GeneratedWorkload` re-creates a
 seeded :class:`~repro.service.WorkloadGenerator` stream per candidate
 (templates over deterministic tables), and :class:`CapturedWorkload`
 snapshots a live session's catalog and an observed ``(kind, text)``
 stream — how a :class:`~repro.server.QueryServer` answers capacity
-questions from its own recorded mix.
+questions from its own recorded mix.  Both fill a given session's
+catalog and return the stream (``populate``): a fresh session for
+pricing, the spot-check server's tenant session for serving.
 """
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-from ..service.executor import DEFAULT_QUANTUM, ServiceExecutor
+from ..query.optimizer import PlannerConfig
+from ..server.server import QueryServer
+from ..server.tenant import TenantQuota
+from ..service.executor import DEFAULT_QUANTUM
 from ..service.interference import InterferenceModel
 from ..service.metrics import percentile
 from ..service.scheduler import check_admission, compile_task, form_batches
@@ -94,17 +101,12 @@ class GeneratedWorkload:
         self.n_queries = n_queries
         self.clients = clients
 
-    def realize(self, candidate: Candidate
-                ) -> tuple[Session, list[WorkloadQuery]]:
-        """A fresh session on the candidate machine with the seeded
-        catalog populated, plus the (identical across candidates)
-        query stream."""
-        session = Session(hierarchy=candidate.hierarchy,
-                          memory_budget=candidate.memory_budget)
+    def populate(self, session: Session) -> list[WorkloadQuery]:
+        """Register the seeded catalog on ``session`` and return the
+        (identical across candidates) query stream."""
         generator = WorkloadGenerator(session=session, seed=self.seed,
                                       scale=self.scale, mix=self.mix)
-        return session, generator.generate(self.n_queries,
-                                           clients=self.clients)
+        return generator.generate(self.n_queries, clients=self.clients)
 
     def to_json(self) -> dict:
         return {
@@ -141,6 +143,7 @@ class CapturedWorkload:
                        in tables.items()}
         self.functions = dict(functions)
         self.queries = list(queries)
+        self.n_queries = len(self.queries)
         self.clients = clients
 
     @classmethod
@@ -171,16 +174,15 @@ class CapturedWorkload:
         return cls(tables=tables, functions=session._functions,
                    queries=normalized, clients=n_clients)
 
-    def realize(self, candidate: Candidate
-                ) -> tuple[Session, list[WorkloadQuery]]:
-        session = Session(hierarchy=candidate.hierarchy,
-                          memory_budget=candidate.memory_budget)
+    def populate(self, session: Session) -> list[WorkloadQuery]:
+        """Re-create the captured catalog on ``session`` and return the
+        captured stream."""
         for name, (values, width, sorted_flag) in self.tables.items():
             session.create_table(name, list(values), width=width,
                                  sorted=sorted_flag)
         for name, fn in self.functions.items():
             session.predicate(name, fn)
-        return session, list(self.queries)
+        return list(self.queries)
 
     def to_json(self) -> dict:
         kinds: dict[str, int] = {}
@@ -199,7 +201,7 @@ class CapturedWorkload:
 @dataclass(frozen=True)
 class SpotCheck:
     """One candidate's simulator verification: the same workload,
-    batches, and policy executed trace-by-trace, next to the sweep's
+    batches, and policy served trace-by-trace, next to the sweep's
     pure-model prediction."""
 
     measured_makespan_ns: float
@@ -210,7 +212,7 @@ class SpotCheck:
     #: numbers (the 0.35 validation band applies).
     makespan_error: float
     p95_error: float
-    #: The executor's own ⊙-vs-replay error over co-run batches.
+    #: The served run's own ⊙-vs-replay error over co-run batches.
     mean_contention_error: float
 
     def to_json(self) -> dict:
@@ -313,7 +315,9 @@ class WhatIfSweep:
     def price(self, candidate: Candidate) -> CandidateOutcome:
         """Predict the workload's serving behaviour on ``candidate``
         with pure model arithmetic (no execution, no simulator)."""
-        session, queries = self.workload.realize(candidate)
+        session = Session(hierarchy=candidate.hierarchy,
+                          memory_budget=candidate.memory_budget)
+        queries = self.workload.populate(session)
         interference = InterferenceModel(session.hierarchy)
         tasks = [compile_task(session, wq, interference) for wq in queries]
         batches = form_batches(tasks, interference, mode=self.policy,
@@ -357,23 +361,41 @@ class WhatIfSweep:
 
     def spot_check(self, candidate: Candidate,
                    outcome: CandidateOutcome) -> SpotCheck:
-        """Execute the workload on ``candidate`` through the
-        trace-driven simulator (recorded traces, interleaved replay —
-        the measured counterpart of the ⊙ prediction) and compare the
-        headline numbers."""
-        session, queries = self.workload.realize(candidate)
-        executor = ServiceExecutor(
-            session, mode=self.policy, max_batch=candidate.cores,
-            slack=self.slack, lookahead=self.lookahead,
-            quantum=self.quantum)
-        report = executor.run(queries)
+        """Serve the workload on ``candidate`` through a
+        :class:`~repro.server.QueryServer` — the trace-driven simulator
+        (recorded traces, interleaved replay), the measured counterpart
+        of the ⊙ prediction — and compare the headline numbers.
+
+        The server runs the candidate machine under its memory budget,
+        with the sweep's admission knobs, the candidate's ``cores`` as
+        batch cap, and one tenant whose queue holds the whole stream.
+        Every query arrives at simulated time 0 (arrival stamps of a
+        captured stream are dropped): the closed batch :meth:`price`
+        models.  The check runs its own event loop, so call it from
+        synchronous code, never from inside a running event loop."""
+        n = self.workload.n_queries
+        server = QueryServer(
+            candidate.hierarchy, mode=self.policy,
+            max_batch=candidate.cores, max_queue=n, slack=self.slack,
+            lookahead=self.lookahead, quantum=self.quantum,
+            config=PlannerConfig(memory_budget=candidate.memory_budget))
+        tenant = server.add_tenant("spot-check", TenantQuota(max_queued=n))
+        queries = [replace(query, arrival_ns=0.0)
+                   for query in self.workload.populate(tenant.session)]
+
+        async def serve() -> None:
+            async with server:
+                await server.serve(queries)
+
+        asyncio.run(serve())
+        report = server.report()
         measured_makespan = report.makespan_ns
         measured_p95 = report.p95_latency_ns
         return SpotCheck(
             measured_makespan_ns=measured_makespan,
             measured_p50_ns=report.p50_latency_ns,
             measured_p95_ns=measured_p95,
-            measured_throughput_qps=report.throughput_qps,
+            measured_throughput_qps=report.sustained_qps,
             makespan_error=(abs(outcome.makespan_ns - measured_makespan)
                             / measured_makespan
                             if measured_makespan > 0 else 0.0),

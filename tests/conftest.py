@@ -47,3 +47,35 @@ def disk_scaled():
     """The simulation-sized disk-extended profile (tiny machine plus a
     32-page buffer pool)."""
     return disk_extended_scaled()
+
+
+@pytest.fixture
+def serve_closed():
+    """Serve a stream as one closed batch through a fresh
+    :class:`~repro.server.QueryServer`: one tenant whose queue holds
+    the whole stream, every query arriving at simulated time 0.
+
+    Call it as ``serve(populate, **server_options)``: ``populate``
+    fills the tenant's session (catalog) and returns the queries.
+    Returns ``(server, report)``; nothing may be shed."""
+    import asyncio
+    from dataclasses import replace
+
+    from repro.server import QueryServer, TenantQuota
+
+    def serve(populate, **options):
+        server = QueryServer(max_queue=64, **options)
+        tenant = server.add_tenant("clients", TenantQuota(max_queued=64))
+        queries = [replace(q, arrival_ns=0.0)
+                   for q in populate(tenant.session)]
+
+        async def run():
+            async with server:
+                await server.serve(queries)
+
+        asyncio.run(run())
+        report = server.report()
+        assert not report.shed and len(report.completed) == len(queries)
+        return server, report
+
+    return serve

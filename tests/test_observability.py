@@ -19,7 +19,7 @@ from repro import Session
 from repro.db import random_permutation
 from repro.hardware import disk_extended_scaled, origin2000_scaled
 from repro.query import Explanation, MeasuredResult, QueryResult
-from repro.service import ServiceExecutor
+from repro.obs import Tracer
 from repro.service.workload import WorkloadGenerator
 from repro.validation import (
     ExperimentResult,
@@ -305,36 +305,56 @@ class TestStatsSurface:
 
 
 class TestServiceAttribution:
-    @pytest.fixture(scope="class")
-    def session(self):
-        s = Session()
-        WorkloadGenerator(session=s, seed=5, scale=256)
-        return s
+    """Per-operator attribution of served queries lives on the
+    tracer's spans: a solo batch runs through the typed measured path,
+    an interleaved co-run replay has no operator scope."""
 
-    def test_singleton_batches_carry_operator_attribution(self, session):
-        gen = WorkloadGenerator(session=session, seed=5, scale=256)
-        report = ServiceExecutor(session, mode="fifo-serial").run(
-            gen.generate(4, clients=2))
-        for q in report.queries:
-            assert q.operators is not None
-            assert sum(op.counters.elapsed_ns for op in q.operators) \
-                == pytest.approx(q.memory_ns, rel=1e-9)
-        payload = json.loads(json.dumps(report.to_json()))
-        assert payload["kind"] == "workload_report"
-        assert all("operators" in q for q in payload["queries"])
+    @staticmethod
+    def _populate(seed):
+        def populate(session):
+            gen = WorkloadGenerator(session=session, seed=seed, scale=256)
+            return gen.generate(4, clients=2)
+        return populate
 
-    def test_co_run_members_have_no_operator_scope(self, session):
-        gen = WorkloadGenerator(session=session, seed=6, scale=256)
-        report = ServiceExecutor(session, mode="max-parallel",
-                                 max_batch=4).run(
-            gen.generate(4, clients=2))
-        co_run = [q for q in report.queries
-                  if report.batches[q.batch_index].size > 1]
+    @staticmethod
+    def _children(tracer, span):
+        return [s for s in tracer.spans if s.parent == span.sid]
+
+    @staticmethod
+    def _execute(tracer, qid):
+        (span,) = [s for s in tracer.spans
+                   if s.name == "execute" and s.qid == qid]
+        return span
+
+    def test_singleton_batches_carry_operator_attribution(
+            self, serve_closed):
+        tracer = Tracer()
+        _, report = serve_closed(self._populate(5), mode="fifo-serial",
+                                 tracer=tracer)
+        for response in report.responses:
+            batch = report.batches[response.batch_index]
+            assert batch.size == 1
+            operators = self._children(
+                tracer, self._execute(tracer, response.qid))
+            assert operators
+            assert all(s.category == "operator" for s in operators)
+            assert sum(s.attrs["measured_ns"] for s in operators) \
+                == pytest.approx(batch.measured_memory_ns, rel=1e-9)
+        exported = json.loads(json.dumps(tracer.chrome_trace("sim")))
+        qids = {event["args"]["qid"] for event in exported["traceEvents"]
+                if event.get("cat") == "operator"}
+        assert qids == {r.qid for r in report.responses}
+
+    def test_co_run_members_have_no_operator_scope(self, serve_closed):
+        tracer = Tracer()
+        _, report = serve_closed(self._populate(6), mode="max-parallel",
+                                 max_batch=4, tracer=tracer)
+        co_run = [r for r in report.responses if r.batch_size > 1]
         assert co_run
-        assert all(q.operators is None for q in co_run)
-        payload = report.to_json()
-        assert all("operators" not in q for q in payload["queries"]
-                   if report.batches[q["batch_index"]].size > 1)
+        for response in co_run:
+            execute = self._execute(tracer, response.qid)
+            assert execute.category == "execute"
+            assert self._children(tracer, execute) == []
 
 
 class TestBenchSchema:

@@ -544,15 +544,19 @@ class TestOutOfCoreService:
         assert [q.text for q in again.generate(8, clients=2)] == \
             [q.text for q in queries]
 
-    def test_service_executes_out_of_core_batches(self):
-        from repro.service import ServiceExecutor, WorkloadGenerator
-        gen = WorkloadGenerator.out_of_core(seed=7, scale=512,
-                                            memory_budget=1024)
-        workload = gen.generate(4, clients=2)
-        report = ServiceExecutor(
-            gen.session, mode="interference-aware", max_batch=2
-        ).run(workload)
-        assert len(report.queries) == 4
+    def test_server_executes_out_of_core_batches(self, serve_closed):
+        from repro.service import WorkloadGenerator
+
+        def populate(session):
+            gen = WorkloadGenerator.out_of_core(session=session, seed=7,
+                                                scale=512)
+            return gen.generate(4, clients=2)
+
+        _, report = serve_closed(
+            populate, hierarchy=disk_extended_scaled(),
+            config=PlannerConfig(memory_budget=1024),
+            mode="interference-aware", max_batch=2)
+        assert len(report.completed) == 4
         assert report.makespan_ns > 0
 
 

@@ -1,16 +1,20 @@
 """The concurrent workload service: generator, interference model,
-schedulers, executor, metrics — plus the session hooks it rides on
+compile step and batch formation, batch runner, metrics — served end
+to end through the query server — plus the session hooks it rides on
 (spawned client sessions, plan-cache provenance)."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.query.physical import QueryPlan
 from repro.core import Conc, Seq, footprint_lines
-from repro.hardware import origin2000_scaled
+from repro.server import QueryServer
 from repro.service import (
     InterferenceModel,
-    ServiceExecutor,
     WorkloadGenerator,
+    compile_task,
     form_batches,
     percentile,
 )
@@ -20,7 +24,7 @@ from repro.service.workload import (
     poisson_gaps,
     stamp_arrivals,
 )
-from repro.session import Session
+from repro.session import PlanCache, Session
 
 
 @pytest.fixture(scope="module")
@@ -181,9 +185,31 @@ class TestInterferenceModel:
         with pytest.raises(ValueError, match="at least one plan"):
             InterferenceModel(session.hierarchy).co_run([])
 
+    def test_standalone_memo_frees_evicted_plans(self):
+        """Regression: the standalone memo was keyed by ``id(plan)`` and
+        kept every plan it priced alive, so plans a small plan cache
+        evicted were never freed (80 compiles of 9 texts through a
+        4-entry cache left 80 plans in the memo)."""
+        session = Session(cache=PlanCache(max_entries=4))
+        WorkloadGenerator(session=session, seed=5, scale=64)
+        model = InterferenceModel(session.hierarchy)
+        texts = [f"filter(orders, even, sel={k / 10})" for k in range(1, 10)]
+        compiled = []
+        for qid in range(80):
+            task = compile_task(session, WorkloadQuery(
+                qid=qid, client=0, kind="scan", text=texts[qid % 9]), model)
+            compiled.append(weakref.ref(task.plan))
+        del task
+        gc.collect()
+        live = {id(plan) for plan in (ref() for ref in compiled)
+                if plan is not None}
+        assert len(session.plan_cache) == 4
+        assert len(live) == 4  # only the cached plans survive
+        assert len(model._solo) <= len(live)
 
-def _batches(executor, tasks, mode, max_batch=4, slack=1.0):
-    return form_batches(tasks, executor.interference, mode=mode,
+
+def _batches(interference, tasks, mode, max_batch=4, slack=1.0):
+    return form_batches(tasks, interference, mode=mode,
                         max_batch=max_batch, slack=slack, lookahead=8)
 
 
@@ -191,25 +217,26 @@ class TestSchedulers:
     @pytest.fixture(scope="class")
     def tasks(self, small_service):
         session, gen = small_service
-        executor = ServiceExecutor(session, mode="fifo-serial")
-        return executor, executor.admit(gen.generate(10, clients=2))
+        interference = InterferenceModel(session.hierarchy)
+        return interference, [compile_task(session, wq, interference)
+                              for wq in gen.generate(10, clients=2)]
 
     def test_fifo_serial_is_singletons(self, tasks):
-        executor, ts = tasks
-        batches = _batches(executor, ts, "fifo-serial")
+        interference, ts = tasks
+        batches = _batches(interference, ts, "fifo-serial")
         assert [len(b) for b in batches] == [1] * len(ts)
         assert [b[0].query.qid for b in batches] == list(range(len(ts)))
 
     def test_max_parallel_chunks_arrival_order(self, tasks):
-        executor, ts = tasks
-        batches = _batches(executor, ts, "max-parallel", max_batch=4)
+        interference, ts = tasks
+        batches = _batches(interference, ts, "max-parallel", max_batch=4)
         assert [len(b) for b in batches] == [4, 4, 2]
         flat = [t.query.qid for b in batches for t in b]
         assert flat == list(range(len(ts)))
 
     def test_interference_aware_schedules_everything_once(self, tasks):
-        executor, ts = tasks
-        batches = _batches(executor, ts, "interference-aware",
+        interference, ts = tasks
+        batches = _batches(interference, ts, "interference-aware",
                            max_batch=4)
         scheduled = sorted(t.query.qid for b in batches for t in b)
         assert scheduled == list(range(len(ts)))
@@ -220,10 +247,10 @@ class TestSchedulers:
         makespan is bounded by the sum of its members' standalone
         times (slack=1): co-scheduling never *predictably* loses to
         FIFO-serial."""
-        executor, ts = tasks
-        for batch in _batches(executor, ts, "interference-aware",
+        interference, ts = tasks
+        for batch in _batches(interference, ts, "interference-aware",
                               max_batch=4, slack=1.0):
-            predicted = executor.interference.co_run(
+            predicted = interference.co_run(
                 [t.plan for t in batch]).makespan_ns
             serial = sum(t.solo_total_ns for t in batch)
             assert predicted <= serial * (1 + 1e-9)
@@ -233,24 +260,33 @@ class TestSchedulers:
         """Every prefix prediction a batch carries — priced by the
         rule or computed on first read — is the co-run prediction of
         that prefix, so callers never need to re-price."""
-        executor, ts = tasks
+        interference, ts = tasks
         for mode in ("interference-aware", "max-parallel", "fifo-serial"):
-            for batch in _batches(executor, ts, mode):
+            for batch in _batches(interference, ts, mode):
                 for size in range(1, len(batch) + 1):
-                    assert batch.prefix(size) == executor.interference.co_run(
+                    assert batch.prefix(size) == interference.co_run(
                         [t.plan for t in batch[:size]])
                 assert batch.prediction == batch.prefix(len(batch))
 
-    def test_parameter_validation(self, small_service):
-        session, _ = small_service
+    def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ServiceExecutor(session, mode="max-parallel", max_batch=0)
+            QueryServer(mode="max-parallel", max_batch=0)
         with pytest.raises(ValueError):
-            ServiceExecutor(session, slack=0.0)
+            QueryServer(slack=0.0)
         with pytest.raises(ValueError):
-            ServiceExecutor(session, lookahead=0)
+            QueryServer(lookahead=0)
         with pytest.raises(ValueError, match="admission mode"):
-            ServiceExecutor(session, mode="greedy")
+            QueryServer(mode="greedy")
+
+
+def _generated(n_queries, clients, seed=3, scale=256, heavy=False):
+    """A ``populate`` callback for the ``serve_closed`` fixture."""
+    def populate(session):
+        factory = (WorkloadGenerator.contention_heavy if heavy
+                   else WorkloadGenerator)
+        return factory(session=session, seed=seed,
+                       scale=scale).generate(n_queries, clients=clients)
+    return populate
 
 
 class TestExecutor:
@@ -270,63 +306,38 @@ class TestExecutor:
         with pytest.raises(ValueError, match="quantum"):
             replay_interleaved(session.hierarchy, [[(0, 8)]], quantum=0)
 
-    def test_end_to_end_report(self, small_service):
-        session, gen = small_service
-        workload = gen.generate(8, clients=2)
-        report = ServiceExecutor(session, mode="max-parallel",
-                                 max_batch=4).run(workload)
-        assert len(report.queries) == 8
-        assert [q.qid for q in report.queries] == list(range(8))
+    def test_end_to_end_report(self, serve_closed):
+        _, report = serve_closed(_generated(8, clients=2),
+                                 mode="max-parallel", max_batch=4)
+        assert len(report.completed) == 8
+        assert [r.qid for r in report.responses] == list(range(8))
         assert sum(b.size for b in report.batches) == 8
         assert report.makespan_ns > 0
-        assert report.throughput_qps > 0
+        assert report.sustained_qps > 0
         assert report.p50_latency_ns <= report.p95_latency_ns
         assert report.p95_latency_ns <= report.makespan_ns * (1 + 1e-9)
-        for q in report.queries:
-            assert q.finish_ns > q.start_ns
+        for r in report.responses:
+            assert r.finish_ns > r.start_ns
+            assert r.latency_ns == r.finish_ns  # arrived at time 0
         text = report.render()
         assert "max-parallel" in text and "p95" in text
 
-    def test_interference_aware_beats_naive_on_contention(self):
+    def test_interference_aware_beats_naive_on_contention(
+            self, serve_closed):
         """The tentpole claim at test scale: on a join-dominated mix
         whose hash tables thrash the shared cache, the ⊙-guided policy
         finishes the workload sooner than naive max-parallel, and its
         co-run predictions track the interleaved replay within the
         model-vs-simulator tolerance band (deterministic workload, so
         this is a stable check, not a flaky benchmark)."""
-        session = Session()
-        gen = WorkloadGenerator.contention_heavy(session=session, seed=7,
-                                                 scale=512)
-        workload = gen.generate(8, clients=2)
-        naive = ServiceExecutor(session, mode="max-parallel",
-                                max_batch=4).run(workload)
-        aware = ServiceExecutor(session, mode="interference-aware",
-                                max_batch=4).run(workload)
+        populate = _generated(8, clients=2, seed=7, scale=512, heavy=True)
+        _, naive = serve_closed(populate, mode="max-parallel",
+                                max_batch=4)
+        _, aware = serve_closed(populate, mode="interference-aware",
+                                max_batch=4)
         assert aware.makespan_ns < naive.makespan_ns
         assert naive.mean_contention_error < 0.35
         assert aware.mean_contention_error < 0.35
-
-    def test_batches_follow_a_profile_swap(self):
-        """Regression: batch formation prices on the session's current
-        profile.  A policy object built before ``set_hierarchy`` used to
-        keep forming batches on the old one; an executor built before
-        the swap must now form exactly the batches a fresh one does."""
-        session = Session()
-        gen = WorkloadGenerator.contention_heavy(session=session, seed=7,
-                                                 scale=512)
-        workload = gen.generate(16, clients=4)
-        before_swap = ServiceExecutor(session, max_batch=4)
-        session.set_hierarchy(
-            origin2000_scaled().scaled_latencies({"L2": (0.05, 0.05)}))
-
-        def membership(report):
-            batches = [[] for _ in report.batches]
-            for q in report.queries:
-                batches[q.batch_index].append(q.qid)
-            return batches
-
-        fresh = ServiceExecutor(session, max_batch=4).run(workload)
-        assert membership(before_swap.run(workload)) == membership(fresh)
 
 
 class TestMetrics:
@@ -357,10 +368,9 @@ class TestMetrics:
         assert percentile(values, 99) > percentile(values, 95)
         assert percentile(values, 99) <= percentile(values, 100)
 
-    def test_report_exposes_p99(self, small_service):
-        session, gen = small_service
-        report = ServiceExecutor(session, mode="max-parallel",
-                                 max_batch=4).run(gen.generate(8, clients=2))
+    def test_report_exposes_p99(self, serve_closed):
+        _, report = serve_closed(_generated(8, clients=2),
+                                 mode="max-parallel", max_batch=4)
         assert report.p95_latency_ns <= report.p99_latency_ns
         assert report.p99_latency_ns <= report.makespan_ns * (1 + 1e-9)
         assert report.to_json()["p99_latency_ns"] == report.p99_latency_ns

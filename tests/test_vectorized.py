@@ -517,8 +517,8 @@ class TestServiceTraces:
         split = replay_interleaved(origin2000_scaled(), [trace], quantum=7)
         assert whole.total_ns == split.total_ns
 
-    def test_service_workload_identical_across_modes(self):
-        from repro.service import ServiceExecutor, WorkloadQuery
+    def test_service_workload_identical_across_modes(self, serve_closed):
+        from repro.service import WorkloadQuery
         queries = [
             WorkloadQuery(qid=0, client=0, kind="q",
                           text="filter(orders, even, sel=0.5)"),
@@ -526,12 +526,21 @@ class TestServiceTraces:
             WorkloadQuery(qid=2, client=0, kind="q",
                           text="aggregate(events, groups=64)"),
         ]
+
+        def populate(session):
+            session.create_table("orders", random_permutation(1024, seed=1))
+            session.create_table("events",
+                                 grouped_keys(1024, groups=64, seed=3))
+            session.predicate("even", lambda v: v % 2 == 0)
+            return queries
+
         reports = {}
         for mode in ("scalar", "vectorized"):
-            session = self._service_session(mode)
-            executor = ServiceExecutor(session, mode="max-parallel",
-                                       max_batch=2)
-            report = executor.run(queries)
-            reports[mode] = [(m.qid, m.memory_ns, m.finish_ns)
-                             for m in report.queries]
+            _, report = serve_closed(
+                populate, mode="max-parallel", max_batch=2,
+                config=PlannerConfig(execution=mode))
+            reports[mode] = (
+                [(r.qid, r.rows, r.finish_ns) for r in report.responses],
+                [b.to_json() for b in report.batches])
+        assert [b["size"] for b in reports["scalar"][1]] == [2, 1]
         assert reports["scalar"] == reports["vectorized"]

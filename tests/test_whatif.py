@@ -8,12 +8,19 @@ import json
 
 import pytest
 
-from repro.hardware import origin2000_scaled, parametric_profile
+from repro.hardware import (
+    disk_extended_scaled,
+    origin2000_scaled,
+    parametric_profile,
+)
 from repro.obs import validate_whatif_report, validate_whatif_report_file
+from repro.service import poisson_gaps, stamp_arrivals
+from repro.session import Session
 from repro.whatif import (
     CONFIG_AXES,
     PROFILE_AXES,
     TINY_POOL_BASE,
+    Candidate,
     CapturedWorkload,
     GeneratedWorkload,
     ProfileSpace,
@@ -231,8 +238,8 @@ class TestCapturedWorkload:
         # identically to the generated workload itself
         generated = small_workload()
         space = ProfileSpace({"mem_ns": [200.0, 800.0]})
-        baseline = space.expand().baseline
-        session, queries = generated.realize(baseline)
+        session = Session()
+        queries = generated.populate(session)
         captured = CapturedWorkload.from_session(
             session, queries, clients=generated.clients)
         priced_g = WhatIfSweep(space, generated).run()
@@ -244,19 +251,97 @@ class TestCapturedWorkload:
 
     def test_accepts_bare_pairs(self):
         generated = small_workload()
-        baseline = ProfileSpace({"cores": [2]}).expand().baseline
-        session, queries = generated.realize(baseline)
+        session = Session()
+        queries = generated.populate(session)
         captured = CapturedWorkload.from_session(
             session, [(q.kind, q.text) for q in queries], clients=2)
         assert len(captured.queries) == len(queries)
         assert {q.client for q in captured.queries} == {0, 1}
 
     def test_empty_stream_rejected(self):
-        generated = small_workload()
-        baseline = ProfileSpace({"cores": [2]}).expand().baseline
-        session, _ = generated.realize(baseline)
+        session = Session()
+        small_workload().populate(session)
         with pytest.raises(ValueError, match="at least one"):
             CapturedWorkload.from_session(session, [])
+
+
+# ----------------------------------------------------------------------
+# spot checks: the workload served through a QueryServer
+# ----------------------------------------------------------------------
+
+#: Spot-check measurements (makespan, p50, p95 in ns; mean ⊙ contention
+#: error) of ``GeneratedWorkload(seed=7, scale=256, n_queries=8,
+#: clients=2)`` with four cores, as the retired closed-batch executor
+#: measured them.  A spot check serves the workload through a
+#: QueryServer now; it must reproduce these to the bit.
+PINNED_SPOT_CHECKS = {
+    ("mem", "interference-aware"):
+        (692628.0, 380030.0, 624499.8, 0.06460244722488512),
+    ("mem", "max-parallel"):
+        (668980.0, 443088.0, 654191.8, 0.22412353714573577),
+    ("mem", "fifo-serial"):
+        (1039320.0, 629320.0, 1028845.2, 0.0),
+    ("ooc", "interference-aware"):
+        (4358734.0, 2454854.0, 4304397.2, 1.0089914953964783),
+    ("ooc", "max-parallel"):
+        (3060538.0, 2039715.0, 2981410.0, 2.5153239826269487),
+    ("ooc", "fifo-serial"):
+        (6713276.0, 4108380.0, 6658939.199999999, 0.0),
+}
+
+#: machine key -> (profile factory, memory budget, workload mix)
+SPOT_MACHINES = {
+    "mem": (origin2000_scaled, None, "contention-heavy"),
+    "ooc": (disk_extended_scaled, 2048, "out-of-core"),
+}
+
+
+def spot_candidate(machine: str) -> Candidate:
+    factory, budget, _ = SPOT_MACHINES[machine]
+    return Candidate(index=0, label="baseline", params=(),
+                     hierarchy=factory(), memory_budget=budget, cores=4)
+
+
+def spot_numbers(check):
+    return (check.measured_makespan_ns, check.measured_p50_ns,
+            check.measured_p95_ns, check.mean_contention_error)
+
+
+class TestSpotCheck:
+    @pytest.mark.parametrize("machine,mode", sorted(PINNED_SPOT_CHECKS))
+    def test_matches_pinned_measurements(self, machine, mode):
+        workload = GeneratedWorkload(
+            seed=7, scale=256, mix=SPOT_MACHINES[machine][2],
+            n_queries=8, clients=2)
+        candidate = spot_candidate(machine)
+        sweep = WhatIfSweep(ProfileSpace({"cores": [4]}), workload,
+                            policy=mode)
+        check = sweep.spot_check(candidate, sweep.price(candidate))
+        assert spot_numbers(check) == PINNED_SPOT_CHECKS[machine, mode]
+
+    def test_arrival_stamps_do_not_change_the_check(self):
+        """A spot check serves the stream as a closed batch, as
+        ``price`` models it: a captured stream's arrival stamps are
+        dropped, so a stamped capture checks to the same numbers."""
+        import random
+
+        generated = GeneratedWorkload(seed=7, scale=256, n_queries=8,
+                                      clients=2)
+        session = Session()
+        queries = generated.populate(session)
+        stamped = stamp_arrivals(
+            queries, poisson_gaps(random.Random(3), 20_000.0))
+        assert all(q.arrival_ns > 0 for q in stamped)
+        space = ProfileSpace({"cores": [4]})
+        candidate = spot_candidate("mem")
+        checks = []
+        for stream in (queries, stamped):
+            sweep = WhatIfSweep(space, CapturedWorkload.from_session(
+                session, stream, clients=2))
+            checks.append(spot_numbers(
+                sweep.spot_check(candidate, sweep.price(candidate))))
+        assert checks[0] == checks[1]
+        assert checks[0] == PINNED_SPOT_CHECKS["mem", "interference-aware"]
 
 
 # ----------------------------------------------------------------------
@@ -450,18 +535,6 @@ class TestServerCapacityPlan:
         report = server.report()
         assert report.fingerprint == server.hierarchy.fingerprint()
         assert report.to_json()["fingerprint"] == report.fingerprint
-
-    def test_workload_report_carries_fingerprint(self):
-        from repro.service import ServiceExecutor, WorkloadGenerator
-        from repro.session import Session
-
-        session = Session()
-        gen = WorkloadGenerator.contention_heavy(session=session,
-                                                 seed=7, scale=128)
-        queries = gen.generate(4, clients=2)
-        report = ServiceExecutor(session, mode="fifo-serial").run(queries)
-        assert report.fingerprint == session.fingerprint
-        assert report.to_json()["fingerprint"] == session.fingerprint
 
     def test_whatif_fingerprints_join_serving_reports(self):
         # the join the satellite exists for: a what-if row about the
